@@ -7,7 +7,7 @@ void MbufDeleter::operator()(Mbuf* m) const {
 }
 
 Mempool::Mempool(std::size_t count, std::size_t buf_size)
-    : count_(count), storage_(count * buf_size) {
+    : count_(count), buf_size_(buf_size), storage_(count * buf_size) {
   mbufs_.reserve(count);
   free_list_.reserve(count);
   for (std::size_t i = 0; i < count; ++i) {
@@ -38,6 +38,7 @@ MbufPtr Mempool::alloc() {
 }
 
 std::size_t Mempool::alloc_bulk(std::span<MbufPtr> out) {
+  if (out.empty()) return 0;
   std::lock_guard lock(mu_);
   const std::size_t n = out.size() < free_list_.size() ? out.size() : free_list_.size();
   for (std::size_t i = 0; i < n; ++i) {
@@ -57,6 +58,23 @@ std::size_t Mempool::alloc_bulk(std::span<MbufPtr> out) {
 void Mempool::release(Mbuf* m) {
   std::lock_guard lock(mu_);
   free_list_.push_back(m);
+}
+
+void Mempool::free_bulk(std::span<MbufPtr> mbufs) {
+  std::size_t i = 0;
+  while (i < mbufs.size()) {
+    if (!mbufs[i]) {
+      ++i;
+      continue;
+    }
+    Mempool* pool = mbufs[i]->pool_;
+    std::lock_guard lock(pool->mu_);
+    for (; i < mbufs.size(); ++i) {
+      if (!mbufs[i]) continue;
+      if (mbufs[i]->pool_ != pool) break;
+      pool->free_list_.push_back(mbufs[i].release());
+    }
+  }
 }
 
 std::size_t Mempool::available() const {

@@ -215,6 +215,7 @@ std::size_t QueueWorker::poll_once_scalar() {
     trace_.span(obs::TraceStage::kWorker, 0, poll_start_ns, now_ns - poll_start_ns,
                 static_cast<std::uint32_t>(n), queue_id_);
   }
+  Mempool::free_bulk(std::span<MbufPtr>(burst.data(), n));  // one pool lock per burst
   return n;
 }
 
@@ -466,6 +467,7 @@ std::size_t QueueWorker::poll_once_vector() {
     trace_.span(obs::TraceStage::kWorker, 0, poll_start_ns, now_ns - poll_start_ns,
                 static_cast<std::uint32_t>(n), queue_id_);
   }
+  Mempool::free_bulk(std::span<MbufPtr>(burst.data(), n));  // one pool lock per burst
   return n;
 }
 

@@ -204,8 +204,9 @@ class QueueWorker {
   /// Hands any accumulated samples to the batch sink now.
   void flush_batch();
 
-  /// One rx_burst + processing pass. Returns packets handled (0 == empty
-  /// poll).
+  /// One rx_burst + processing pass; the burst's mbufs go back to the
+  /// pool with one Mempool::free_bulk before it returns.  Returns packets
+  /// handled (0 == empty poll).
   std::size_t poll_once();
 
   /// Poll until `stop` becomes true, then drain the queue dry once.

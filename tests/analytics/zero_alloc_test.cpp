@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <new>
@@ -256,7 +257,10 @@ TEST(ZeroAlloc, InflowKernelSteadyStateDoesNotAllocate) {
   EXPECT_EQ(tracker.table().size(), 0u);
 }
 
-TEST(ZeroAlloc, VectorPollLoopSteadyStateDoesNotAllocate) {
+/// Full flow lifecycles through the NIC and the vector worker loop,
+/// injected one frame per inject() call or as whole inject_burst()
+/// bursts; 100 warm rounds must not touch the heap.
+void expect_vector_poll_loop_steady_state_is_allocation_free(bool burst_inject) {
   // The whole vectorized worker path — NIC inject, rx_burst, the SoA
   // descriptor fill, batched pre-parse + branchless classify, batched
   // flow-table probes, run-partitioned resolve with the in-flow kernel,
@@ -306,9 +310,24 @@ TEST(ZeroAlloc, VectorPollLoopSteadyStateDoesNotAllocate) {
                      Duration::from_sec(30.0), FlowTable::kDefaultProbeWindow, icfg);
   ASSERT_EQ(worker.loop_kernel(), QueueWorker::LoopKernel::kVector);
 
+  // Burst injection stages bulk-allocated mbufs in reused scratch and
+  // publishes per queue; the worker hands each polled burst back with
+  // one free_bulk.
+  std::vector<RxFrame> burst(frames.size());
   auto round = [&](std::int64_t base_ms) {
     for (std::size_t i = 0; i < frames.size(); ++i) {
-      nic.inject(frames[i], Timestamp::from_ms(base_ms + static_cast<std::int64_t>(i)));
+      const Timestamp t = Timestamp::from_ms(base_ms + static_cast<std::int64_t>(i));
+      if (burst_inject) {
+        burst[i] = RxFrame{frames[i], t};
+      } else {
+        nic.inject(frames[i], t);
+      }
+    }
+    if (burst_inject) {
+      for (std::size_t i = 0; i < burst.size(); i += QueueWorker::kBurst) {
+        const std::size_t len = std::min(QueueWorker::kBurst, burst.size() - i);
+        nic.inject_burst(std::span<const RxFrame>(burst).subspan(i, len));
+      }
     }
     while (worker.poll_once() != 0) {
     }
@@ -330,6 +349,15 @@ TEST(ZeroAlloc, VectorPollLoopSteadyStateDoesNotAllocate) {
   EXPECT_EQ(delivered, per_round * 101);
   EXPECT_GT(worker.stats().lane_established.load(), 0u);
   EXPECT_EQ(worker.tracker().table().size(), 0u);
+  EXPECT_EQ(pool.available(), pool.capacity());  // every mbuf back, exactly once
+}
+
+TEST(ZeroAlloc, VectorPollLoopSteadyStateDoesNotAllocate) {
+  expect_vector_poll_loop_steady_state_is_allocation_free(/*burst_inject=*/false);
+}
+
+TEST(ZeroAlloc, VectorPollLoopBurstInjectSteadyStateDoesNotAllocate) {
+  expect_vector_poll_loop_steady_state_is_allocation_free(/*burst_inject=*/true);
 }
 
 }  // namespace

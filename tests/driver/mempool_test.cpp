@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <atomic>
 #include <cstring>
 #include <thread>
 #include <vector>
+
+#include "util/spsc_ring.hpp"
 
 namespace ruru {
 namespace {
@@ -93,6 +97,99 @@ TEST(Mempool, ConcurrentAllocFreeKeepsAccounting) {
   }
   for (auto& t : threads) t.join();
   EXPECT_EQ(pool.available(), 64u);
+}
+
+TEST(Mempool, FreeBulkSkipsNulls) {
+  Mempool pool(8, 64);
+  std::array<MbufPtr, 6> burst;
+  burst[0] = pool.alloc();
+  burst[2] = pool.alloc();
+  burst[5] = pool.alloc();
+  ASSERT_EQ(pool.available(), 5u);
+  Mempool::free_bulk(burst);
+  EXPECT_EQ(pool.available(), 8u);
+  for (const MbufPtr& m : burst) EXPECT_EQ(m, nullptr);
+  Mempool::free_bulk(burst);  // all null now: a no-op
+  EXPECT_EQ(pool.available(), 8u);
+}
+
+TEST(Mempool, FreeBulkReturnsEachMbufToItsOwnPool) {
+  Mempool a(8, 64);
+  Mempool b(8, 128);
+  std::vector<MbufPtr> mixed;
+  for (int i = 0; i < 5; ++i) {
+    mixed.push_back(a.alloc());
+    mixed.push_back(b.alloc());
+    if (i % 2 == 0) mixed.push_back(b.alloc());  // runs of length 1 and 2
+  }
+  ASSERT_EQ(a.available(), 3u);
+  ASSERT_EQ(b.available(), 0u);
+  Mempool::free_bulk(mixed);
+  EXPECT_EQ(a.available(), 8u);
+  EXPECT_EQ(b.available(), 8u);
+  // Every buffer came back to the pool that owns its dataroom.
+  std::vector<MbufPtr> again(8);
+  ASSERT_EQ(b.alloc_bulk(again), 8u);
+  for (const MbufPtr& m : again) EXPECT_EQ(m->capacity(), 128u);
+}
+
+TEST(Mempool, FreeBulkRestoresAvailableExactly) {
+  Mempool pool(64, 64);
+  std::vector<MbufPtr> burst(40);
+  ASSERT_EQ(pool.alloc_bulk(burst), 40u);
+  EXPECT_EQ(pool.available(), 24u);
+  Mempool::free_bulk(std::span<MbufPtr>(burst).first(15));
+  EXPECT_EQ(pool.available(), 39u);
+  Mempool::free_bulk(burst);
+  EXPECT_EQ(pool.available(), 64u);
+  EXPECT_EQ(pool.alloc_failures(), 0u);
+}
+
+TEST(Mempool, AllocBulkCountsOneFailurePerEmptySlot) {
+  Mempool pool(4, 64);
+  std::vector<MbufPtr> burst(7);
+  EXPECT_EQ(pool.alloc_bulk(burst), 4u);
+  EXPECT_EQ(pool.alloc_failures(), 3u);
+  EXPECT_EQ(pool.alloc_bulk(std::span<MbufPtr>()), 0u);  // asks for nothing, fails nothing
+  EXPECT_EQ(pool.alloc_failures(), 3u);
+}
+
+TEST(Mempool, ConcurrentAllocBulkAndFreeBulkKeepAccounting) {
+  // One producer fills bursts with alloc_bulk and hands them to two
+  // consumers, which return them with free_bulk — the NIC/worker shape.
+  constexpr int kRounds = 20'000;
+  constexpr std::size_t kBurstSize = 8;
+  Mempool pool(64, 64);
+  std::array<SpscRing<MbufPtr>, 2> rings{SpscRing<MbufPtr>(32), SpscRing<MbufPtr>(32)};
+  std::atomic<bool> done{false};
+
+  std::thread producer([&] {
+    std::array<MbufPtr, kBurstSize> burst;
+    for (int r = 0; r < kRounds; ++r) {
+      const std::size_t got = pool.alloc_bulk(burst);
+      const auto byte = static_cast<std::uint8_t>(r);
+      for (std::size_t i = 0; i < got; ++i) burst[i]->assign({&byte, 1});
+      SpscRing<MbufPtr>& ring = rings[static_cast<std::size_t>(r) % 2];
+      const std::size_t pushed = ring.push_burst(burst.data(), got);
+      Mempool::free_bulk(std::span<MbufPtr>(burst).subspan(pushed, got - pushed));
+    }
+    done.store(true, std::memory_order_release);
+  });
+  std::vector<std::thread> consumers;
+  for (SpscRing<MbufPtr>& ring : rings) {
+    consumers.emplace_back([&ring, &done] {
+      std::array<MbufPtr, kBurstSize> burst;
+      for (;;) {
+        const bool last = done.load(std::memory_order_acquire);
+        const std::size_t n = ring.pop_burst(burst.data(), burst.size());
+        Mempool::free_bulk(std::span<MbufPtr>(burst).first(n));
+        if (n == 0 && last) break;
+      }
+    });
+  }
+  producer.join();
+  for (auto& t : consumers) t.join();
+  EXPECT_EQ(pool.available(), pool.capacity());
 }
 
 }  // namespace

@@ -141,13 +141,14 @@ fi
 if [ "$SAN" = "scale" ]; then
   # Scale-out gate, part 1: the concurrency surface under TSan.  Fan-in
   # lanes (one producer per worker), sharded injection into per-queue
-  # SPSC rings, CPU pinning bookkeeping, and the full sharded pipelines
+  # SPSC rings, the mempool's bulk alloc/free shared by the injector and
+  # the workers, CPU pinning bookkeeping, and the full sharded pipelines
   # the Scaling suite drives end to end.
   BUILD="$ROOT/build-thread"
   cmake -B "$BUILD" -S "$ROOT" -DRURU_SANITIZE=thread -DCMAKE_BUILD_TYPE=RelWithDebInfo
   cmake --build "$BUILD" -j"$JOBS" --target test_msg test_driver test_core
   (cd "$BUILD" && ctest --output-on-failure -j"$JOBS" \
-    -R 'FanIn|PubSub|BusQueue|Nic|LcoreLauncher|Scaling|Pipeline')
+    -R 'FanIn|PubSub|BusQueue|Nic|Mempool|LcoreLauncher|Scaling|Pipeline')
 
   # Part 2: the determinism invariant, run un-sanitized so timing is
   # representative.  ShardedNWorkersBitIdenticalTo1Worker compares the
