@@ -82,13 +82,16 @@ void BM_HwmDropUnderStall(benchmark::State& state) {
 BENCHMARK(BM_HwmDropUnderStall);
 
 // Ablation (DESIGN.md §5): HWM drop vs block with a slow consumer. The
-// drop policy keeps the publisher at full speed and sheds load; the
-// block policy throttles the publisher to the consumer's pace — which
-// on the capture path would mean dropping packets at the NIC instead.
+// drop policy (the bus's only policy) keeps the publisher at full speed
+// and sheds load.  The block arm is a bench-local publisher that retries
+// publish() with backoff until the subscriber accepts the message; it
+// throttles to the consumer's pace — which on the capture path would
+// mean dropping packets at the NIC instead.  `retries` counts the
+// refused attempts (each one also shows in the subscriber's `dropped`).
 void BM_HwmPolicyWithSlowConsumer(benchmark::State& state) {
   const bool block = state.range(0) == 1;
   PubSocket pub;
-  auto sub = pub.subscribe("", 256, block ? HwmPolicy::kBlock : HwmPolicy::kDrop);
+  auto sub = pub.subscribe("", 256);
   std::atomic<bool> done{false};
   std::thread consumer([&] {
     while (!done.load(std::memory_order_acquire)) {
@@ -102,16 +105,25 @@ void BM_HwmPolicyWithSlowConsumer(benchmark::State& state) {
   });
 
   const Message msg = make_message(68);
+  std::uint64_t retries = 0;
   for (auto _ : state) {
-    pub.publish(msg);
+    if (block) {
+      detail::Backoff backoff;
+      while (pub.publish(msg) == 0) {
+        ++retries;
+        backoff.pause();
+      }
+    } else {
+      pub.publish(msg);
+    }
   }
   done.store(true);
-  pub.close_all();  // release a possibly blocked final publish
   consumer.join();
 
   state.SetItemsProcessed(state.iterations());
   state.counters["delivered"] = static_cast<double>(sub->delivered());
   state.counters["dropped"] = static_cast<double>(sub->dropped());
+  state.counters["retries"] = static_cast<double>(retries);
 }
 BENCHMARK(BM_HwmPolicyWithSlowConsumer)
     ->Arg(0)

@@ -1,20 +1,21 @@
-// Vectorized worker pipeline (DESIGN.md §5l acceptance) — the staged
-// lane loop against the retired per-packet loop it replaced, on the
-// workloads the redesign targets:
+// Vectorized worker pipeline (DESIGN.md §5l) — the staged lane loop on
+// the workloads it targets:
 //
-//   EstablishedHeavy — the acceptance mix: a resident set of established
-//       flows exchanging timestamped request/response segments (candidate
-//       lanes resolved by the in-flow kernel) with a fraction of
-//       untracked background segments (skip lanes).  The vector loop
-//       must hold >= 1.3x the scalar loop here (mean of 3 runs,
-//       recorded in BENCH_worker.json).
+//   EstablishedHeavy — a resident set of established flows exchanging
+//       timestamped request/response segments (candidate lanes resolved
+//       by the in-flow kernel) with a fraction of untracked background
+//       segments (skip lanes).
 //   SkipHeavy — in-flow kernel off: every candidate lane is an untracked
 //       skip, isolating the batched classify/probe stages.
 //   PrefetchDepth — the rx-loop lookahead knob (flow.prefetch_depth)
-//       swept 0..4 over the established-heavy mix on the vector loop.
-//   Transpacific — the fig2 workload on one worker, both kernels; the
-//       vector number doubles as the CI regression smoke
-//       (tools/check.sh worker fails below 0.95x of the recorded pps).
+//       swept 0..4 over the established-heavy mix.
+//   Transpacific — the fig2 workload on one worker; it doubles as the CI
+//       regression smoke (tools/check.sh worker fails below 0.95x of the
+//       recorded pps).
+//
+// Every row keeps the `vector:1` argument it had when a per-packet loop
+// was benched beside the lane loop (that loop is now the test-side
+// ReferenceWorker), so row names — and the smoke's filter — are stable.
 
 #include <benchmark/benchmark.h>
 
@@ -120,13 +121,11 @@ struct EstablishedMix {
   }
 };
 
-/// One worker fed the established mix; `kernel` and `depth` select the
-/// loop under test.  Injection (Toeplitz + frame copy, identical for
-/// both kernels) happens with the timer paused: the measured region is
-/// the poll loop itself — rx_burst, classify, probes, resolve — which is
-/// what the two kernels differ in.
-void run_established(benchmark::State& state, QueueWorker::LoopKernel kernel, std::size_t depth,
-                     bool inflow_on) {
+/// One worker fed the established mix at prefetch depth `depth`.
+/// Injection (Toeplitz + frame copy) happens with the timer paused: the
+/// measured region is the poll loop itself — rx_burst, classify, probes,
+/// resolve.
+void run_established(benchmark::State& state, std::size_t depth, bool inflow_on) {
   constexpr std::size_t kChunk = 16'384;  // == queue depth: one fill per iteration
   const EstablishedMix& mix = EstablishedMix::instance();
 
@@ -140,7 +139,6 @@ void run_established(benchmark::State& state, QueueWorker::LoopKernel kernel, st
   icfg.min_interval = Duration{0};
   QueueWorker worker(nic, 0, EstablishedMix::kFlows * 4, nullptr, Duration::from_sec(1e6),
                      FlowTable::kDefaultProbeWindow, icfg);
-  worker.set_loop_kernel(kernel);
   worker.set_prefetch_depth(depth);
 
   std::int64_t t = 0;
@@ -172,46 +170,32 @@ void run_established(benchmark::State& state, QueueWorker::LoopKernel kernel, st
 }
 
 void BM_WorkerEstablishedHeavy(benchmark::State& state) {
-  const auto kernel =
-      state.range(0) == 0 ? QueueWorker::LoopKernel::kScalar : QueueWorker::LoopKernel::kVector;
-  run_established(state, kernel, /*depth=*/1, /*inflow_on=*/true);
+  run_established(state, /*depth=*/1, /*inflow_on=*/true);
 }
-BENCHMARK(BM_WorkerEstablishedHeavy)
-    ->Arg(0)
-    ->Arg(1)
-    ->ArgName("vector")
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_WorkerEstablishedHeavy)->Arg(1)->ArgName("vector")->Unit(benchmark::kMillisecond);
 
 void BM_WorkerSkipHeavy(benchmark::State& state) {
   // In-flow kernel off: tracked flows' data segments skip, making every
   // candidate lane a pure classify-and-skip — the batched probe stages
   // with no per-lane kernel work to hide behind.
-  const auto kernel =
-      state.range(0) == 0 ? QueueWorker::LoopKernel::kScalar : QueueWorker::LoopKernel::kVector;
-  run_established(state, kernel, /*depth=*/1, /*inflow_on=*/false);
+  run_established(state, /*depth=*/1, /*inflow_on=*/false);
 }
-BENCHMARK(BM_WorkerSkipHeavy)->Arg(0)->Arg(1)->ArgName("vector")->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_WorkerSkipHeavy)->Arg(1)->ArgName("vector")->Unit(benchmark::kMillisecond);
 
 void BM_WorkerPrefetchDepth(benchmark::State& state) {
-  // On the scalar loop the depth is the classic lookahead distance
-  // (flow.prefetch_depth's pre-PR meaning) — 1 vs 2 is the interesting
-  // comparison.  On the vector loop the staged prefetch covers the whole
-  // burst, so depth only gates it: 0 (off) vs nonzero (on).
-  const auto kernel =
-      state.range(0) == 0 ? QueueWorker::LoopKernel::kScalar : QueueWorker::LoopKernel::kVector;
-  run_established(state, kernel, static_cast<std::size_t>(state.range(1)), /*inflow_on=*/true);
+  // The staged prefetch covers the whole burst, so depth only gates it:
+  // 0 (off) vs nonzero (on).
+  run_established(state, static_cast<std::size_t>(state.range(1)), /*inflow_on=*/true);
 }
 BENCHMARK(BM_WorkerPrefetchDepth)
-    ->ArgsProduct({{0, 1}, {0, 1, 2, 3, 4}})
+    ->ArgsProduct({{1}, {0, 1, 2, 3, 4}})
     ->ArgNames({"vector", "depth"})
     ->Unit(benchmark::kMillisecond);
 
 // The fig2 workload on one worker — handshake churn, data segments,
-// realistic arrival order — both kernels.  The vector number is the
-// recorded reference for the check.sh regression smoke.
+// realistic arrival order.  Its number is the recorded reference for the
+// check.sh regression smoke.
 void BM_WorkerTranspacific(benchmark::State& state) {
-  const auto kernel =
-      state.range(0) == 0 ? QueueWorker::LoopKernel::kScalar : QueueWorker::LoopKernel::kVector;
   static const std::vector<TimedFrame>& frames = [] {
     static auto model = scenarios::transpacific(0xF162, 4000.0, Duration::from_sec(5.0));
     static const auto f = ruru::bench::pregenerate(model);
@@ -221,7 +205,7 @@ void BM_WorkerTranspacific(benchmark::State& state) {
   std::uint64_t samples_total = 0;
   // Lane-occupancy distributions (EXPERIMENTS.md E13): candidate lanes
   // per poll and consecutive-candidate run lengths, recorded by the
-  // vector loop's classify stage.
+  // classify stage.
   obs::MetricsRegistry metrics;
   for (auto _ : state) {
     Mempool pool(1 << 16, 2048);
@@ -234,7 +218,6 @@ void BM_WorkerTranspacific(benchmark::State& state) {
     std::uint64_t samples = 0;
     QueueWorker worker(nic, 0, 1 << 14, [&samples](const LatencySample&) { ++samples; },
                        Duration::from_sec(30.0), FlowTable::kDefaultProbeWindow, icfg);
-    worker.set_loop_kernel(kernel);
     WorkerObs wobs;
     wobs.poll_batch = metrics.histogram("worker.poll_batch");
     wobs.burst_candidates = metrics.histogram("worker.burst_candidates");
@@ -269,11 +252,7 @@ void BM_WorkerTranspacific(benchmark::State& state) {
     state.counters["poll_p50"] = static_cast<double>(h->percentile(0.5));
   }
 }
-BENCHMARK(BM_WorkerTranspacific)
-    ->Arg(0)
-    ->Arg(1)
-    ->ArgName("vector")
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_WorkerTranspacific)->Arg(1)->ArgName("vector")->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

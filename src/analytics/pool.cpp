@@ -66,10 +66,12 @@ void EnrichmentPool::worker_main(std::size_t index) {
   // state.
   std::vector<EnrichedSample> enriched;
   enriched.reserve(kMaxLatencyBatch);
-  // Sharded inbox: with fan-in lanes each worker owns its slice of the
-  // lanes (SPSC pops, per-flow ordering); recv_shard degrades to recv()
-  // when the topology has no lanes or the pool has one thread.
-  const bool sharded = shard_inbox_ && thread_count_ > 1 && source_->lanes() > 0;
+  // Sharded inbox: with fan-in lanes and more than one thread, worker w
+  // consumes only lanes where lane % threads == w (uncontended SPSC
+  // pops, and each flow — RSS-pinned to one publisher lane — stays on
+  // one worker, in order).  A lane-less subscription or a one-thread
+  // pool takes the shared recv() scan.
+  const bool sharded = thread_count_ > 1 && source_->lanes() > 0;
   while (true) {
     auto msg = sharded ? source_->recv_shard(index, thread_count_)
                        : source_->recv();  // blocking; nullopt == closed and drained

@@ -44,7 +44,9 @@ class EnrichmentPool {
   /// single-sample (encode_latency_sample) and v2 batch
   /// (encode_latency_batch) messages are both consumed. Each of the
   /// `threads` workers owns its own Enricher (separate LRU caches, no
-  /// sharing). `geo6` optional (may be null).
+  /// sharing). With fan-in lanes and more than one thread, worker w
+  /// consumes only the lanes where lane % threads == w (the sharded
+  /// inbox). `geo6` optional (may be null).
   EnrichmentPool(std::shared_ptr<Subscription> source, const GeoDatabase& geo,
                  const AsDatabase& as, std::size_t threads,
                  const Geo6Database* geo6 = nullptr);
@@ -70,13 +72,6 @@ class EnrichmentPool {
   /// Threads whose affinity was applied / could not be applied.
   [[nodiscard]] std::size_t pinned() const { return pinned_.load(); }
   [[nodiscard]] std::size_t pin_failures() const { return pin_failures_.load(); }
-
-  /// Sharded inbox (default on): when the subscription has fan-in
-  /// lanes, worker w consumes only lanes where lane % threads == w via
-  /// recv_shard — uncontended SPSC pops, and each flow (RSS-pinned to
-  /// one publisher lane) stays on one worker, in order.  Off = all
-  /// workers share one MPMC scan of every lane.  Call before start().
-  void set_shard_inbox(bool on) { shard_inbox_ = on; }
 
   void start();
   /// Waits for the subscription to drain (after its publisher closes it)
@@ -106,7 +101,6 @@ class EnrichmentPool {
   std::vector<std::unique_ptr<Enricher>> enrichers_;
   std::atomic<std::uint64_t> processed_{0};
   std::atomic<std::uint64_t> decode_failures_{0};
-  bool shard_inbox_ = true;
   bool started_ = false;
 };
 

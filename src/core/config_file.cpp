@@ -1,6 +1,8 @@
 #include "core/config_file.hpp"
 
+#include <cmath>
 #include <cstdio>
+#include <limits>
 #include <memory>
 
 namespace ruru {
@@ -21,7 +23,11 @@ Result<std::uint64_t> parse_u64(const std::string& key, const std::string& value
     if (c < '0' || c > '9') {
       return make_error("config: '" + key + "' expects an unsigned integer, got '" + value + "'");
     }
-    out = out * 10 + static_cast<std::uint64_t>(c - '0');
+    const auto digit = static_cast<std::uint64_t>(c - '0');
+    if (out > (std::numeric_limits<std::uint64_t>::max() - digit) / 10) {
+      return make_error("config: '" + key + "' is out of range, got '" + value + "'");
+    }
+    out = out * 10 + digit;
   }
   return out;
 }
@@ -125,9 +131,15 @@ Result<PipelineConfig> pipeline_config_from_text(const std::string& text,
   PipelineConfig cfg = defaults;
   for (const auto& [key, value] : parsed.value()) {
     auto set_u64 = [&](auto& field) -> Status {
+      using Field = std::remove_reference_t<decltype(field)>;
       auto v = parse_u64(key, value);
       if (!v) return make_error(v.error());
-      field = static_cast<std::remove_reference_t<decltype(field)>>(v.value());
+      constexpr auto kMax = static_cast<std::uint64_t>(std::numeric_limits<Field>::max());
+      if (v.value() > kMax) {
+        return make_error("config: '" + key + "' must be <= " + std::to_string(kMax) +
+                          ", got '" + value + "'");
+      }
+      field = static_cast<Field>(v.value());
       return {};
     };
     auto set_bool = [&](bool& field) -> Status {
@@ -139,7 +151,15 @@ Result<PipelineConfig> pipeline_config_from_text(const std::string& text,
     auto set_seconds = [&](Duration& field) -> Status {
       auto v = parse_f64(key, value);
       if (!v) return make_error(v.error());
-      field = Duration::from_sec(v.value());
+      // Duration counts int64 ns: from_sec's float->int cast is undefined
+      // outside that range (2^63 ns is ~292 years), and no span is negative.
+      const double sec = v.value();
+      if (!std::isfinite(sec) || sec < 0.0 || sec * 1e9 >= 0x1p63) {
+        return make_error("config: '" + key +
+                          "' must be a finite, non-negative number of seconds below 2^63 ns, "
+                          "got '" + value + "'");
+      }
+      field = Duration::from_sec(sec);
       return {};
     };
 
@@ -174,8 +194,6 @@ Result<PipelineConfig> pipeline_config_from_text(const std::string& text,
       status = set_u64(cfg.inflow_min_interval_us);
     } else if (key == "flow.prefetch_depth") {
       status = set_u64(cfg.worker_prefetch_depth);
-    } else if (key == "flow.vector_loop") {
-      status = set_bool(cfg.worker_vector_loop);
     } else if (key == "bus.hwm") {
       status = set_u64(cfg.bus_hwm);
     } else if (key == "bus.batch") {
@@ -184,8 +202,6 @@ Result<PipelineConfig> pipeline_config_from_text(const std::string& text,
       status = set_seconds(cfg.bus_batch_linger);
     } else if (key == "analytics.threads") {
       status = set_u64(cfg.enrichment_threads);
-    } else if (key == "analytics.shard_inbox") {
-      status = set_bool(cfg.enrich_shard_inbox);
     } else if (key == "topology.workers") {
       // Worker lcores and RX queues are 1:1 (one table per queue), so
       // the topology's worker count IS the queue count.

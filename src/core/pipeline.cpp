@@ -76,8 +76,6 @@ RuruPipeline::RuruPipeline(PipelineConfig config, const GeoDatabase& geo, const 
                                                 config_.flow_stale_after,
                                                 config_.flow_probe_window, inflow);
     worker->set_fast_path(config_.worker_fast_path);
-    worker->set_loop_kernel(config_.worker_vector_loop ? QueueWorker::LoopKernel::kVector
-                                                       : QueueWorker::LoopKernel::kScalar);
     worker->set_prefetch_depth(config_.worker_prefetch_depth);
     worker->set_batch_sink(
         [this, q](std::span<const LatencySample> samples) {
@@ -120,7 +118,6 @@ RuruPipeline::RuruPipeline(PipelineConfig config, const GeoDatabase& geo, const 
   enrichment_sub_ = bus_.subscribe(std::string(kLatencyTopic), config_.bus_hwm);
   enrichment_ = std::make_unique<EnrichmentPool>(enrichment_sub_, geo_, as_,
                                                  config_.enrichment_threads, geo6);
-  enrichment_->set_shard_inbox(config_.enrich_shard_inbox);
   register_metrics();
   wire_sinks();
 
@@ -294,7 +291,7 @@ void RuruPipeline::register_metrics() {
   metrics_.register_counter_fn("worker.inflow_consumed", sum_workers([](const QueueWorker& w) {
                                  return w.stats().inflow_consumed.load();
                                }));
-  // Vector-loop lane accounting (all zero under the scalar oracle loop).
+  // Lane accounting: how the worker's stage 4 resolved candidate lanes.
   metrics_.register_counter_fn("worker.lane_skip", sum_workers([](const QueueWorker& w) {
                                  return w.stats().lane_skip.load();
                                }));
@@ -386,7 +383,7 @@ void RuruPipeline::register_metrics() {
       wobs.inflow_rtt = metrics_.histogram("flow.inflow_rtt_ns", q);
       wobs.one_sided_delta = metrics_.histogram("flow.one_sided_delta_ns", q);
     }
-    if (config_.worker_vector_loop && config_.worker_fast_path) {
+    if (config_.worker_fast_path) {
       wobs.burst_candidates = metrics_.histogram("worker.burst_candidates", q);
       wobs.candidate_run_len = metrics_.histogram("worker.candidate_run_len", q);
     }
@@ -422,8 +419,28 @@ void RuruPipeline::wire_sinks() {
   // interned city ids + ASNs, with unlocated endpoints collapsed to the
   // same sentinel the "?" tag value collapses them to.
   struct RouteCache {
+    using Key = std::pair<std::uint64_t, std::uint64_t>;
+    static Key key_of(const EnrichedSample& s) {
+      constexpr std::uint64_t kUnlocated = 0xFFFF'FFFFull;
+      const std::uint64_t cities =
+          ((s.client.located ? std::uint64_t{s.client.city_id} : kUnlocated) << 32) |
+          (s.server.located ? std::uint64_t{s.server.city_id} : kUnlocated);
+      const std::uint64_t asns =
+          (std::uint64_t{s.client.asn} << 32) | std::uint64_t{s.server.asn};
+      return {cities, asns};
+    }
+    /// The four route tags every sink series carries, built on a
+    /// route's first sample only.
+    static TagSet route_tags(const EnrichedSample& s) {
+      TagSet tags;
+      tags.add("src_city", std::string(s.client.located ? s.client.city() : "?"))
+          .add("dst_city", std::string(s.server.located ? s.server.city() : "?"))
+          .add("src_as", std::to_string(s.client.asn))
+          .add("dst_as", std::to_string(s.server.asn));
+      return tags;
+    }
     struct Hash {
-      std::size_t operator()(const std::pair<std::uint64_t, std::uint64_t>& k) const {
+      std::size_t operator()(const Key& k) const {
         std::uint64_t x = k.first ^ (k.second * 0x9E3779B97F4A7C15ull);
         x ^= x >> 33;
         x *= 0xFF51AFD7ED558CCDull;
@@ -432,15 +449,14 @@ void RuruPipeline::wire_sinks() {
       }
     };
     std::mutex mu;
-    std::unordered_map<std::pair<std::uint64_t, std::uint64_t>, std::array<SeriesId, 3>, Hash>
-        map;
+    std::unordered_map<Key, std::array<SeriesId, 3>, Hash> map;
     /// In-flow series per route: 4 classes — (kInflow|kOneSided) x
     /// (toward_client) — resolved lazily like the handshake triple.
     struct InflowSeries {
       std::array<SeriesId, 4> sid{};
       std::array<bool, 4> have{};
     };
-    std::unordered_map<std::pair<std::uint64_t, std::uint64_t>, InflowSeries, Hash> inflow;
+    std::unordered_map<Key, InflowSeries, Hash> inflow;
   };
   auto routes = std::make_shared<RouteCache>();
   enrichment_->add_sink([this, routes](const EnrichedSample& s) {
@@ -451,13 +467,7 @@ void RuruPipeline::wire_sinks() {
       // out of the aggregators and anomaly detectors, whose models
       // (pair RTT means, completion counts) assume handshake triples.
       if (!config_.tsdb_store_samples) return;
-      constexpr std::uint64_t kUnlocated = 0xFFFF'FFFFull;
-      const std::uint64_t cities =
-          ((s.client.located ? std::uint64_t{s.client.city_id} : kUnlocated) << 32) |
-          (s.server.located ? std::uint64_t{s.server.city_id} : kUnlocated);
-      const std::uint64_t asns =
-          (std::uint64_t{s.client.asn} << 32) | std::uint64_t{s.server.asn};
-      const std::pair<std::uint64_t, std::uint64_t> key{cities, asns};
+      const RouteCache::Key key = RouteCache::key_of(s);
       const std::size_t cls =
           (s.kind == SampleKind::kInflow ? 0 : 2) + (s.toward_client ? 1 : 0);
       SeriesId sid{};
@@ -471,12 +481,8 @@ void RuruPipeline::wire_sinks() {
         }
       }
       if (!cached) {
-        TagSet tags;
-        tags.add("src_city", std::string(s.client.located ? s.client.city() : "?"))
-            .add("dst_city", std::string(s.server.located ? s.server.city() : "?"))
-            .add("src_as", std::to_string(s.client.asn))
-            .add("dst_as", std::to_string(s.server.asn))
-            .add("half", s.toward_client ? "internal" : "external");
+        TagSet tags = RouteCache::route_tags(s);
+        tags.add("half", s.toward_client ? "internal" : "external");
         sid = tsdb_.series(s.kind == SampleKind::kInflow ? "inflow_ms" : "onesided_ms", tags);
         std::lock_guard lock(routes->mu);
         auto& e = routes->inflow[key];
@@ -491,13 +497,7 @@ void RuruPipeline::wire_sinks() {
     arcs_.add(s);
 
     if (config_.tsdb_store_samples) {
-      constexpr std::uint64_t kUnlocated = 0xFFFF'FFFFull;
-      const std::uint64_t cities =
-          ((s.client.located ? std::uint64_t{s.client.city_id} : kUnlocated) << 32) |
-          (s.server.located ? std::uint64_t{s.server.city_id} : kUnlocated);
-      const std::uint64_t asns =
-          (std::uint64_t{s.client.asn} << 32) | std::uint64_t{s.server.asn};
-      const std::pair<std::uint64_t, std::uint64_t> key{cities, asns};
+      const RouteCache::Key key = RouteCache::key_of(s);
       std::array<SeriesId, 3> sids;
       bool cached = false;
       {
@@ -509,11 +509,7 @@ void RuruPipeline::wire_sinks() {
       }
       if (!cached) {
         // First sample on this route: build the tags and resolve once.
-        TagSet tags;
-        tags.add("src_city", std::string(s.client.located ? s.client.city() : "?"))
-            .add("dst_city", std::string(s.server.located ? s.server.city() : "?"))
-            .add("src_as", std::to_string(s.client.asn))
-            .add("dst_as", std::to_string(s.server.asn));
+        const TagSet tags = RouteCache::route_tags(s);
         sids = {tsdb_.series("total_ms", tags), tsdb_.series("internal_ms", tags),
                 tsdb_.series("external_ms", tags)};
         std::lock_guard lock(routes->mu);

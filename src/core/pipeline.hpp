@@ -81,10 +81,6 @@ struct PipelineConfig {
   /// Rx-loop mbuf prefetch lookahead in the worker poll loop (0 disables,
   /// max 4).  A memory-timing knob only — never changes semantics.
   std::size_t worker_prefetch_depth = 1;
-  /// Worker poll-loop kernel: true (default) = the staged vector lane
-  /// pipeline, false = the retired per-packet loop kept as the oracle.
-  /// Samples and stats are bit-identical either way.
-  bool worker_vector_loop = true;
 
   // --- multi-core topology ---
   /// CPU pins for the pipeline's threads (best-effort Linux affinity;
@@ -108,10 +104,6 @@ struct PipelineConfig {
   /// flushed (0 = flush only on batch-full or an empty poll), so
   /// low-rate traffic is not delayed behind the batch size.
   Duration bus_batch_linger = Duration::from_ms(5);
-  /// Sharded enrichment inbox: each pool worker owns its slice of the
-  /// bus fan-in lanes (SPSC pops, per-flow ordering) instead of all
-  /// workers scanning every lane. See EnrichmentPool::set_shard_inbox.
-  bool enrich_shard_inbox = true;
 
   // --- anomaly modules ---
   bool enable_synflood = true;

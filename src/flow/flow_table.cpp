@@ -219,9 +219,9 @@ void FlowTable::probe_batch(const std::uint32_t* idx, std::size_t n_idx, const F
         // The batch path also warms the times lanes (both directions):
         // a match — every echoed segment, i.e. every lane that emits a
         // sample — reads ts_times to form the delta, and the in-flow
-        // note writes it.  The scalar loop leaves these to the store
-        // buffer / demand miss (pre-PR behaviour, kept for the oracle);
-        // here the lines arrive a full stage early.
+        // note writes it.  A one-at-a-time lookup leaves these to the
+        // store buffer / demand miss; here the lines arrive a full stage
+        // early.
         const std::size_t off = static_cast<std::size_t>(out[i].slot) * 2 * ts_entries_;
         __builtin_prefetch(ts_times_.data() + off, 1 /*write*/, 3);
         __builtin_prefetch(ts_times_.data() + off + ts_entries_, 1 /*write*/, 3);

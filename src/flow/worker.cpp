@@ -40,8 +40,8 @@ void QueueWorker::flush_batch() {
 
 void QueueWorker::deliver_sample(const LatencySample& sample) {
   // sample.ack_time is the capture timestamp of the completing packet,
-  // so batch-full and linger triggers fire exactly as they did when the
-  // sample was delivered inside the per-packet loop.
+  // so batch-full and linger triggers fire exactly as they would if the
+  // sample were delivered while its packet is processed.
   if (batch_sink_) {
     if (batch_.empty()) batch_oldest_ = sample.ack_time;
     batch_.push_back(sample);
@@ -86,140 +86,6 @@ void QueueWorker::deliver_staged() {
 }
 
 std::size_t QueueWorker::poll_once() {
-  return loop_kernel_ == LoopKernel::kScalar ? poll_once_scalar() : poll_once_vector();
-}
-
-std::size_t QueueWorker::poll_once_scalar() {
-  std::array<MbufPtr, kBurst> burst;
-  const std::size_t n = nic_.rx_burst(queue_id_, burst);
-  ++stats_.polls;
-  if (n == 0) {
-    ++stats_.empty_polls;
-    flush_batch();  // end-of-burst idle: don't sit on a partial batch
-    return 0;
-  }
-  obs_.poll_batch.record(static_cast<std::int64_t>(n));
-
-  // Flight recorder: `tracing` is loop-invariant and false on the
-  // untraced path, so the per-packet cost there is one predicted
-  // branch on a register value.
-  const bool tracing = trace_.attached();
-  std::int64_t poll_start_ns = 0;
-  if (tracing) poll_start_ns = obs::trace_now_ns();
-
-  // Pass 1: classify every mbuf and warm the flow-table group each one
-  // will probe.  Slow-path packets are parsed here (parsing reads only
-  // the frame, never the table, so order does not matter yet).
-  for (std::size_t i = 0; i < n; ++i) {
-    // Hide a later mbuf's descriptor + header-bytes miss behind the
-    // current packet's classification (the classic rx-loop prefetch).
-    if (prefetch_depth_ != 0 && i + prefetch_depth_ < n) {
-      const Mbuf* next = burst[i + prefetch_depth_].get();
-      __builtin_prefetch(next, 0 /*read*/, 3);
-      __builtin_prefetch(next->data(), 0 /*read*/, 3);
-    }
-    const Mbuf& m = *burst[i];
-    ++stats_.packets;
-    stats_.bytes += m.length();
-    if (tracing && m.trace_id != 0) {
-      // The nic span is synthesized here from the ingest stamp: it
-      // covers NIC queueing, i.e. inject -> worker pickup.
-      const std::int64_t now_ns = obs::trace_now_ns();
-      trace_.span(obs::TraceStage::kNic, m.trace_id, m.ingest_ns, now_ns - m.ingest_ns,
-                  static_cast<std::uint32_t>(m.length()), queue_id_);
-    }
-
-    Pending& p = pending_[i];
-    p.mbuf = static_cast<std::uint32_t>(i);
-    if (fast_path_) {
-      // Pre-parse probe: a pure data segment (ACK, no SYN/FIN/RST) of a
-      // flow the tracker is not following can contribute nothing — no
-      // timestamp, no state transition — so it is a skip *candidate*.
-      // The skip decision itself waits for pass 2: the handshake it
-      // might belong to could complete earlier in this very burst.
-      const FastProbe probe = probe_tcp_fast(m.bytes());
-      constexpr std::uint8_t kSlowFlags = TcpFlags::kSyn | TcpFlags::kFin | TcpFlags::kRst;
-      if (probe.eligible && (probe.tcp_flags & kSlowFlags) == 0 &&
-          (probe.tcp_flags & TcpFlags::kAck) != 0) {
-        p.kind = Pending::Kind::kCandidate;
-        p.key = FlowKey::from(probe.tuple);
-        p.l4_offset = probe.l4_offset;
-        p.probe_v4 = probe.is_v4;
-        tracker_.prefetch(m.rss_hash);
-        continue;
-      }
-    }
-    p.kind = Pending::Kind::kParsed;
-    p.status = parse_packet(m.bytes(), p.view);
-    ++stats_.parse_status[static_cast<std::size_t>(p.status)];
-    if (p.status == ParseStatus::kOk) tracker_.prefetch(m.rss_hash);
-  }
-
-  // Pass 2: resolve in arrival order.  Accumulated parsed packets are
-  // run through the tracker in batches; before each fast-path candidate
-  // is judged, the batch is flushed so tracking() sees current state.
-  for (std::size_t i = 0; i < n; ++i) {
-    Pending& p = pending_[i];
-    const Mbuf& m = *burst[p.mbuf];
-    if (tracing && m.trace_id != 0) {
-      trace_.instant(obs::TraceStage::kWorker, m.trace_id, obs::trace_now_ns(),
-                     static_cast<std::uint32_t>(i), queue_id_);
-    }
-    if (p.kind == Pending::Kind::kCandidate) {
-      flush_items();
-      if (inflow_) {
-        // In-flow kernel: one table probe classifies the candidate.
-        // Established flows run the timestamp match right here — option
-        // extraction happens behind the ring prefetch the lookup issued
-        // — and never reach parse_packet().
-        const auto look = tracker_.inflow_lookup(p.key, m.rss_hash, m.timestamp);
-        if (look.verdict == HandshakeTracker::InflowVerdict::kUntracked) {
-          ++stats_.fast_path_skips;
-          continue;
-        }
-        if (look.verdict == HandshakeTracker::InflowVerdict::kEstablished) {
-          const FastTsProbe tsp = probe_tcp_timestamps(m.bytes(), p.l4_offset, p.probe_v4);
-          if (tsp.valid) [[likely]] {
-            samples_.clear();
-            tracker_.inflow_established(look.slot, p.key.forward, tsp, m.timestamp, m.rss_hash,
-                                        queue_id_, samples_);
-            deliver_staged();
-            ++stats_.inflow_consumed;
-            continue;
-          }
-          // Inconsistent length fields: let parse_packet() classify it.
-        }
-      } else if (!tracker_.tracking(p.key, m.rss_hash, m.timestamp)) {
-        ++stats_.fast_path_skips;
-        continue;
-      }
-      // Tracked flow after all: take the full parse like the slow path.
-      p.status = parse_packet(m.bytes(), p.view);
-      ++stats_.parse_status[static_cast<std::size_t>(p.status)];
-    }
-    if (p.status != ParseStatus::kOk) continue;
-
-    if (syn_sink_ && p.view.tcp.is_syn_only() && p.view.is_v4) {
-      syn_sink_(m.timestamp, p.view.ip4.dst);
-    }
-    items_.push_back(TrackedPacket{p.view, m.timestamp, m.rss_hash});
-  }
-  flush_items();
-
-  // Retire abandoned handshakes a few groups at a time, so probes never
-  // pay a staleness scan and the table never needs a stop-the-world GC.
-  tracker_.sweep(burst[n - 1]->timestamp, kSweepGroupsPerBurst);
-
-  if (tracing) {
-    const std::int64_t now_ns = obs::trace_now_ns();
-    trace_.span(obs::TraceStage::kWorker, 0, poll_start_ns, now_ns - poll_start_ns,
-                static_cast<std::uint32_t>(n), queue_id_);
-  }
-  Mempool::free_bulk(std::span<MbufPtr>(burst.data(), n));  // one pool lock per burst
-  return n;
-}
-
-std::size_t QueueWorker::poll_once_vector() {
   std::array<MbufPtr, kBurst> burst;
   const std::size_t n = nic_.rx_burst(queue_id_, burst);
   ++stats_.polls;
@@ -236,8 +102,7 @@ std::size_t QueueWorker::poll_once_vector() {
 
   // Stage 0: every mbuf header prefetches up front.  By the time the
   // ingest loop reads lane i's descriptor the line is in flight or
-  // arrived — the staged shape gives the whole burst as lookahead where
-  // the per-packet loop only had `prefetch_depth_` lanes of it.
+  // arrived — the staged shape gives the whole burst as lookahead.
   if (prefetch_depth_ != 0) {
     for (std::size_t i = 0; i < n; ++i) {
       __builtin_prefetch(burst[i].get(), 0 /*read*/, 3);
@@ -272,7 +137,7 @@ std::size_t QueueWorker::poll_once_vector() {
   // — resolves 16 lanes per masked byte-compare; ineligible lanes and
   // tail padding carry 0xFF, which can never satisfy it.  Full-parse
   // lanes are parsed right here (parsing reads only the frame, never the
-  // table, so order does not matter yet), same as the scalar pass 1.
+  // table, so order does not matter yet).
   std::size_t n_cand = 0;
   if (fast_path_) {
     probe_tcp_fast_batch(desc_.frame.data(), n, desc_.probe.data());
@@ -329,8 +194,8 @@ std::size_t QueueWorker::poll_once_vector() {
   // visible to the very next data segment of that flow.  After any
   // flush (inserts/erases) or an in-reprobe reclamation, the remaining
   // provisional verdicts are void: those lanes take the mutating lookup
-  // (`revalidate`), keeping state and stats bit-identical to the scalar
-  // loop.
+  // (`revalidate`), keeping state and stats bit-identical to a
+  // one-probe-per-packet loop.
   bool revalidate = false;
   std::size_t i = 0;
   while (i < n) {
@@ -355,7 +220,7 @@ std::size_t QueueWorker::poll_once_vector() {
     if (inflow_) {
       // In-flow kernel samples accumulate across the run in samples_ and
       // deliver at the run boundary (or before a mid-run flush) — the
-      // per-sample order matches the scalar loop exactly.
+      // per-sample order is the arrival order of the emitting lanes.
       samples_.clear();
       for (; i < n && desc_.cls[i] == BurstDesc::kCandidate; ++i) {
         const Mbuf& m = *burst[i];

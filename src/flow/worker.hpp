@@ -30,9 +30,10 @@
 //     a reclamation inside a stale-entry reprobe) voids the remaining
 //     provisional verdicts and those lanes fall back to the mutating
 //     lookup.  Emitted samples, skip decisions and every stats counter
-//     are bit-identical to the retired one-probe-per-packet loop, which
-//     is kept as poll_once_scalar() (LoopKernel::kScalar) as the fuzz
-//     oracle.
+//     are bit-identical to a one-probe-per-packet loop; the fuzz tests
+//     hold the lane pipeline to such a reference worker, which lives in
+//     tests/flow/ and is built only from the public NIC, tracker and
+//     parser APIs.
 
 #include <array>
 #include <atomic>
@@ -88,7 +89,7 @@ struct WorkerStats {
   StatCell batch_flushes = 0;
   /// Samples handed to the batch sink across all flushes.
   StatCell batched_samples = 0;
-  /// --- vector-loop lane accounting (zero under LoopKernel::kScalar) ---
+  /// --- lane accounting (how stage 4 resolved each candidate lane) ---
   /// Candidate lanes resolved as untracked skips (subset of
   /// fast_path_skips attributable to the lane loop).
   StatCell lane_skip = 0;
@@ -129,11 +130,6 @@ class QueueWorker {
   /// mbufs); deeper than this outruns any plausible L1 latency.
   static constexpr std::size_t kMaxPrefetchDepth = 4;
 
-  /// Which poll-loop implementation runs.  kVector (the default) is the
-  /// staged lane pipeline; kScalar is the retired one-probe-per-packet
-  /// loop, kept bit-identical as the fuzz/bench oracle.
-  enum class LoopKernel : std::uint8_t { kVector, kScalar };
-
   QueueWorker(SimNic& nic, std::uint16_t queue_id, std::size_t flow_table_capacity,
               SampleSink sink, Duration stale_after = Duration::from_sec(30.0),
               std::size_t probe_window = FlowTable::kDefaultProbeWindow,
@@ -152,20 +148,11 @@ class QueueWorker {
   /// WorkerStats::fast_path_skips (they bypass parse_status).
   void set_fast_path(bool enabled) { fast_path_ = enabled; }
 
-  /// Select the poll-loop kernel before the worker runs (not thread-safe
-  /// afterwards).  Samples, skip decisions and stats counters (other
-  /// than the lane_* cells, which only the vector loop drives) are
-  /// bit-identical across kernels.
-  void set_loop_kernel(LoopKernel kernel) { loop_kernel_ = kernel; }
-  [[nodiscard]] LoopKernel loop_kernel() const { return loop_kernel_; }
-
   /// Rx-loop prefetch knob (default 1, clamped to [0, kMaxPrefetchDepth];
-  /// 0 disables prefetching).  On the scalar kernel it is the classic
-  /// lookahead distance (prefetch lane i+depth while resolving lane i).
-  /// On the vector kernel the staged pipeline already spans the whole
-  /// burst, so any nonzero depth enables the stage 0/1 burst prefetch
-  /// and the distance itself is moot.  Purely a memory-timing knob,
-  /// never a semantic one.
+  /// 0 disables prefetching).  The staged pipeline already spans the
+  /// whole burst, so any nonzero depth enables the stage 0/1 burst
+  /// prefetch and the distance itself is moot.  Purely a memory-timing
+  /// knob, never a semantic one.
   void set_prefetch_depth(std::size_t depth) {
     prefetch_depth_ = depth > kMaxPrefetchDepth ? kMaxPrefetchDepth : depth;
   }
@@ -218,21 +205,11 @@ class QueueWorker {
   [[nodiscard]] std::uint16_t queue_id() const { return queue_id_; }
 
  private:
-  /// Pass-1 classification of one mbuf, resolved in arrival order by
-  /// pass 2.
+  /// Full parse of one lane (stage 2, or stage 4 for a candidate lane
+  /// that fell back), consumed in arrival order by stage 4.
   struct Pending {
-    enum class Kind : std::uint8_t {
-      kParsed,    ///< slow path: parsed in pass 1 (status + view set)
-      kCandidate  ///< fast-path candidate: pure data segment, key set
-    };
-    Kind kind = Kind::kParsed;
     ParseStatus status = ParseStatus::kOk;
-    std::uint32_t mbuf = 0;  ///< index into the rx burst
-    /// Candidate-only probe carry-over for the in-flow timestamp probe.
-    std::uint16_t l4_offset = 0;
-    bool probe_v4 = true;
     PacketView view;
-    FlowKey key;
   };
 
   /// Runs accumulated parsed packets through the tracker and delivers
@@ -243,11 +220,6 @@ class QueueWorker {
   void deliver_staged();
   void deliver_sample(const LatencySample& sample);
 
-  /// The staged lane pipeline (LoopKernel::kVector, the default).
-  std::size_t poll_once_vector();
-  /// The retired per-packet loop, kept bit-identical as the oracle.
-  std::size_t poll_once_scalar();
-
   SimNic& nic_;
   std::uint16_t queue_id_;
   HandshakeTracker tracker_;
@@ -257,14 +229,13 @@ class QueueWorker {
   bool fast_path_ = true;
   bool inflow_ = false;  ///< cached InflowConfig::enabled
   bool simd_ = false;    ///< group_masked_eq kernel choice (mirrors the table's)
-  LoopKernel loop_kernel_ = LoopKernel::kVector;
   std::size_t prefetch_depth_ = 1;
   std::size_t batch_size_ = 1;
   Duration batch_linger_{0};
   std::vector<LatencySample> batch_;   ///< reused accumulator
   Timestamp batch_oldest_{};           ///< capture time of batch_[0]
-  std::array<Pending, kBurst> pending_;       ///< parse scratch (both kernels)
-  BurstDesc desc_;                            ///< vector-loop lane scratch
+  std::array<Pending, kBurst> pending_;       ///< per-lane parse scratch
+  BurstDesc desc_;                            ///< lane scratch
   std::vector<TrackedPacket> items_;          ///< reused, capacity kBurst
   std::vector<LatencySample> samples_;        ///< reused, capacity kBurst
   obs::TraceHandle trace_;

@@ -163,10 +163,11 @@ TEST_F(PoolTest, ShardedInboxConservesSamplesAcrossLanes) {
 }
 
 TEST_F(PoolTest, ShardedInboxOffFallsBackToSharedScan) {
+  // A one-thread pool over a 4-lane subscription does not shard: its
+  // only worker takes the shared recv() scan of every lane.
   PubSocket bus(1 << 14, /*fanin_lanes=*/4);
   auto sub = bus.subscribe(std::string(kLatencyTopic), 1 << 14);
-  EnrichmentPool pool(sub, world_->geo, world_->as, 3);
-  pool.set_shard_inbox(false);
+  EnrichmentPool pool(sub, world_->geo, world_->as, 1);
   std::atomic<int> sunk{0};
   pool.add_sink([&](const EnrichedSample&) { sunk.fetch_add(1); });
   pool.start();

@@ -308,7 +308,6 @@ void expect_vector_poll_loop_steady_state_is_allocation_free(bool burst_inject) 
   std::uint64_t delivered = 0;
   QueueWorker worker(nic, 0, 1 << 10, [&](const LatencySample&) { ++delivered; },
                      Duration::from_sec(30.0), FlowTable::kDefaultProbeWindow, icfg);
-  ASSERT_EQ(worker.loop_kernel(), QueueWorker::LoopKernel::kVector);
 
   // Burst injection stages bulk-allocated mbufs in reused scratch and
   // publishes per queue; the worker hands each polled burst back with

@@ -94,6 +94,42 @@ TEST(PipelineConfigFile, TypeErrorsAreNamed) {
 TEST(PipelineConfigFile, SanityBounds) {
   EXPECT_FALSE(pipeline_config_from_text("[capture]\nqueues = 0\n").ok());
   EXPECT_FALSE(pipeline_config_from_text("[analytics]\nthreads = 0\n").ok());
+
+  // Hostile values are rejected, never wrapped or truncated, and the
+  // error names the key.
+  const auto rejected_naming_key = [](const std::string& text, const std::string& key) {
+    const auto r = pipeline_config_from_text(text);
+    ASSERT_FALSE(r.ok()) << text;
+    EXPECT_NE(r.error().find(key), std::string::npos) << r.error();
+  };
+  // capture.queues is a uint16_t: 65537 must not truncate to 1 queue,
+  // and 2^64 + 1 must not wrap in the parser to 1.
+  rejected_naming_key("[capture]\nqueues = 65537\n", "capture.queues");
+  rejected_naming_key("[capture]\nqueues = 18446744073709551617\n", "capture.queues");
+  rejected_naming_key("[flow]\ntable_capacity = 99999999999999999999\n", "flow.table_capacity");
+  rejected_naming_key("[obs]\ntrace_sample_n = 4294967296\n", "obs.trace_sample_n");
+  const auto widest = pipeline_config_from_text("[capture]\nqueues = 65535\n");
+  ASSERT_TRUE(widest.ok()) << widest.error();
+  EXPECT_EQ(widest.value().num_queues, 65535);
+  const auto u64_max =
+      pipeline_config_from_text("[detectors]\nsynflood_min_syns = 18446744073709551615\n");
+  ASSERT_TRUE(u64_max.ok()) << u64_max.error();
+  EXPECT_EQ(u64_max.value().synflood.min_syns, 18446744073709551615u);
+
+  // Seconds must be finite, non-negative and fit int64 nanoseconds: the
+  // float->int cast in Duration::from_sec is undefined outside that.
+  rejected_naming_key("[flow]\nstale_after_s = nan\n", "flow.stale_after_s");
+  rejected_naming_key("[flow]\nstale_after_s = inf\n", "flow.stale_after_s");
+  rejected_naming_key("[flow]\nstale_after_s = 1e300\n", "flow.stale_after_s");
+  rejected_naming_key("[flow]\nstale_after_s = 9223372037\n", "flow.stale_after_s");
+  rejected_naming_key("[flow]\nstale_after_s = -5\n", "flow.stale_after_s");
+  rejected_naming_key("[bus]\nbatch_linger_s = -0.001\n", "bus.batch_linger_s");
+  const auto zero = pipeline_config_from_text("[flow]\nstale_after_s = 0\n");
+  ASSERT_TRUE(zero.ok()) << zero.error();
+  EXPECT_EQ(zero.value().flow_stale_after.ns, 0);
+  const auto long_span = pipeline_config_from_text("[flow]\nstale_after_s = 9223372036\n");
+  ASSERT_TRUE(long_span.ok()) << long_span.error();
+  EXPECT_EQ(long_span.value().flow_stale_after.ns, Duration::from_sec(9223372036.0).ns);
 }
 
 TEST(PipelineConfigFile, StoragePolicyKeys) {
@@ -121,13 +157,15 @@ TEST(PipelineConfigFile, TsdbEngineKeys) {
 }
 
 TEST(PipelineConfigFile, ShardInboxToggle) {
-  const auto off = pipeline_config_from_text("[analytics]\nshard_inbox = false\n");
-  ASSERT_TRUE(off.ok()) << off.error();
-  EXPECT_FALSE(off.value().enrich_shard_inbox);
-  const auto defaults = pipeline_config_from_text("");
-  ASSERT_TRUE(defaults.ok());
-  EXPECT_TRUE(defaults.value().enrich_shard_inbox);  // sharded by default
-  EXPECT_FALSE(pipeline_config_from_text("[analytics]\nshard_inbox = maybe\n").ok());
+  // The enrichment pool derives its sharded inbox from the topology
+  // (fan-in lanes and more than one thread), so no key selects it.
+  for (const char* text :
+       {"[analytics]\nshard_inbox = false\n", "[analytics]\nshard_inbox = true\n"}) {
+    const auto r = pipeline_config_from_text(text);
+    ASSERT_FALSE(r.ok());
+    EXPECT_NE(r.error().find("unknown key 'analytics.shard_inbox'"), std::string::npos)
+        << r.error();
+  }
 }
 
 TEST(PipelineConfigFile, LinkMeterKeys) {
@@ -187,17 +225,14 @@ TEST(PipelineConfigFile, InflowRttBounds) {
 }
 
 TEST(PipelineConfigFile, WorkerLoopKeys) {
-  const auto r =
-      pipeline_config_from_text("[flow]\nprefetch_depth = 2\nvector_loop = false\n");
+  const auto r = pipeline_config_from_text("[flow]\nprefetch_depth = 2\n");
   ASSERT_TRUE(r.ok()) << r.error();
   EXPECT_EQ(r.value().worker_prefetch_depth, 2u);
-  EXPECT_FALSE(r.value().worker_vector_loop);
 
-  // Defaults: lane loop on, lookahead 1.
+  // Default lookahead 1.
   const auto d = pipeline_config_from_text("");
   ASSERT_TRUE(d.ok());
   EXPECT_EQ(d.value().worker_prefetch_depth, 1u);
-  EXPECT_TRUE(d.value().worker_vector_loop);
 
   // Depth 0 (prefetch off) and 4 (the cap) are the limit cases, accepted.
   EXPECT_TRUE(pipeline_config_from_text("[flow]\nprefetch_depth = 0\n").ok());
@@ -205,7 +240,14 @@ TEST(PipelineConfigFile, WorkerLoopKeys) {
   const auto deep = pipeline_config_from_text("[flow]\nprefetch_depth = 5\n");
   ASSERT_FALSE(deep.ok());
   EXPECT_NE(deep.error().find("prefetch_depth"), std::string::npos);
-  EXPECT_FALSE(pipeline_config_from_text("[flow]\nvector_loop = maybe\n").ok());
+
+  // The vector lane loop is the only worker loop: no key selects it.
+  for (const char* text : {"[flow]\nvector_loop = false\n", "[flow]\nvector_loop = true\n"}) {
+    const auto vl = pipeline_config_from_text(text);
+    ASSERT_FALSE(vl.ok());
+    EXPECT_NE(vl.error().find("unknown key 'flow.vector_loop'"), std::string::npos)
+        << vl.error();
+  }
 }
 
 TEST(PipelineConfigFile, ProbeWindowKey) {

@@ -319,23 +319,20 @@ TEST_F(WorkerTest, EmptyPollsAreCounted) {
 TEST_F(WorkerTest, PollReturnsEveryMbufExactlyOnce) {
   // 14 handshakes = 42 frames: a full 32-frame burst, then a 10-frame
   // one.  After each poll the pool holds everything not still queued.
-  for (const auto kernel : {QueueWorker::LoopKernel::kVector, QueueWorker::LoopKernel::kScalar}) {
-    std::size_t delivered = 0;
-    QueueWorker worker(*nic_, 0, 1024, [&](const LatencySample&) { ++delivered; });
-    worker.set_loop_kernel(kernel);
-    for (std::uint16_t i = 0; i < 14; ++i) {
-      inject_handshake(Ipv4Address(10, 1, 0, 1), static_cast<std::uint16_t>(40'000 + i),
-                       Timestamp::from_ms(i), Duration::from_ms(20), Duration::from_ms(1));
-    }
-    ASSERT_EQ(pool_.available(), pool_.capacity() - 42);
-    EXPECT_EQ(worker.poll_once(), 32u);
-    EXPECT_EQ(pool_.available(), pool_.capacity() - 10);
-    EXPECT_EQ(worker.poll_once(), 10u);
-    EXPECT_EQ(pool_.available(), pool_.capacity());
-    EXPECT_EQ(worker.poll_once(), 0u);
-    EXPECT_EQ(pool_.available(), pool_.capacity());
-    EXPECT_EQ(delivered, 14u);
+  std::size_t delivered = 0;
+  QueueWorker worker(*nic_, 0, 1024, [&](const LatencySample&) { ++delivered; });
+  for (std::uint16_t i = 0; i < 14; ++i) {
+    inject_handshake(Ipv4Address(10, 1, 0, 1), static_cast<std::uint16_t>(40'000 + i),
+                     Timestamp::from_ms(i), Duration::from_ms(20), Duration::from_ms(1));
   }
+  ASSERT_EQ(pool_.available(), pool_.capacity() - 42);
+  EXPECT_EQ(worker.poll_once(), 32u);
+  EXPECT_EQ(pool_.available(), pool_.capacity() - 10);
+  EXPECT_EQ(worker.poll_once(), 10u);
+  EXPECT_EQ(pool_.available(), pool_.capacity());
+  EXPECT_EQ(worker.poll_once(), 0u);
+  EXPECT_EQ(pool_.available(), pool_.capacity());
+  EXPECT_EQ(delivered, 14u);
 }
 
 }  // namespace

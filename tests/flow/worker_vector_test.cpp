@@ -1,9 +1,9 @@
-// Vector-loop exactness tests: the staged lane pipeline
-// (LoopKernel::kVector) must emit bit-identical samples and stats to the
-// retired per-packet loop (LoopKernel::kScalar, kept as the oracle) on
-// any input — including the adversarial case the flush-at-lane-boundary
-// rule exists for, a handshake completing mid-burst immediately before a
-// data segment of the same flow.
+// Vector-loop exactness tests: QueueWorker's staged lane pipeline must
+// emit bit-identical samples and stats to the one-probe-per-packet
+// ReferenceWorker (reference_worker.hpp, the oracle) on any input —
+// including the adversarial case the flush-at-lane-boundary rule exists
+// for, a handshake completing mid-burst immediately before a data
+// segment of the same flow.
 
 #include <gtest/gtest.h>
 
@@ -14,6 +14,7 @@
 
 #include "flow/worker.hpp"
 #include "net/packet_builder.hpp"
+#include "reference_worker.hpp"
 #include "util/random.hpp"
 
 namespace ruru {
@@ -21,20 +22,19 @@ namespace {
 
 // --- oracle harness -------------------------------------------------
 
-/// One worker with its own mempool and NIC, so two harnesses can replay
-/// the exact same frame stream without sharing any state.
+/// One worker (QueueWorker or the ReferenceWorker oracle) with its own
+/// mempool and NIC, so two harnesses can replay the exact same frame
+/// stream without sharing any state.
+template <typename Worker>
 struct Harness {
-  Harness(QueueWorker::LoopKernel kernel, std::size_t table_capacity, Duration stale_after,
-          InflowConfig inflow, std::size_t prefetch_depth = 1)
+  Harness(std::size_t table_capacity, Duration stale_after, InflowConfig inflow)
       : pool(4096, 2048) {
     NicConfig cfg;
     cfg.num_queues = 1;
     nic = std::make_unique<SimNic>(cfg, pool);
-    worker = std::make_unique<QueueWorker>(*nic, 0, table_capacity,
-                                           [this](const LatencySample& s) { samples.push_back(s); },
-                                           stale_after, FlowTable::kDefaultProbeWindow, inflow);
-    worker->set_loop_kernel(kernel);
-    worker->set_prefetch_depth(prefetch_depth);
+    worker = std::make_unique<Worker>(*nic, 0, table_capacity,
+                                      [this](const LatencySample& s) { samples.push_back(s); },
+                                      stale_after, FlowTable::kDefaultProbeWindow, inflow);
   }
 
   void replay(const std::vector<std::vector<std::pair<std::vector<std::uint8_t>, Timestamp>>>&
@@ -48,9 +48,12 @@ struct Harness {
 
   Mempool pool;
   std::unique_ptr<SimNic> nic;
-  std::unique_ptr<QueueWorker> worker;
+  std::unique_ptr<Worker> worker;
   std::vector<LatencySample> samples;
 };
+
+using RefHarness = Harness<ReferenceWorker>;
+using VecHarness = Harness<QueueWorker>;
 
 void expect_samples_equal(const std::vector<LatencySample>& a,
                           const std::vector<LatencySample>& b) {
@@ -71,10 +74,10 @@ void expect_samples_equal(const std::vector<LatencySample>& a,
   }
 }
 
-/// Every counter the two loop kernels must agree on (the lane_* cells
-/// are vector-only by design and excluded).
-void expect_stats_equal(const Harness& scalar, const Harness& vec) {
-  const WorkerStats& ws = scalar.worker->stats();
+/// Every counter the lane pipeline must agree on with the reference (the
+/// lane_* cells describe the lane pipeline itself and are excluded).
+void expect_stats_equal(const RefHarness& ref, const VecHarness& vec) {
+  const WorkerStats& ws = ref.worker->stats();
   const WorkerStats& wv = vec.worker->stats();
   EXPECT_EQ(ws.packets, wv.packets);
   EXPECT_EQ(ws.bytes, wv.bytes);
@@ -84,7 +87,7 @@ void expect_stats_equal(const Harness& scalar, const Harness& vec) {
   EXPECT_EQ(ws.fast_path_skips, wv.fast_path_skips);
   EXPECT_EQ(ws.inflow_consumed, wv.inflow_consumed);
 
-  const TrackerStats& ts = scalar.worker->tracker_stats();
+  const TrackerStats& ts = ref.worker->tracker_stats();
   const TrackerStats& tv = vec.worker->tracker_stats();
   EXPECT_EQ(ts.syn_seen, tv.syn_seen);
   EXPECT_EQ(ts.syn_retransmissions, tv.syn_retransmissions);
@@ -95,7 +98,7 @@ void expect_stats_equal(const Harness& scalar, const Harness& vec) {
   EXPECT_EQ(ts.samples_emitted, tv.samples_emitted);
   EXPECT_EQ(ts.table_drops, tv.table_drops);
 
-  const InflowStats& is = scalar.worker->tracker().inflow_stats();
+  const InflowStats& is = ref.worker->tracker().inflow_stats();
   const InflowStats& iv = vec.worker->tracker().inflow_stats();
   EXPECT_EQ(is.ts_matches, iv.ts_matches);
   EXPECT_EQ(is.ts_ring_evictions, iv.ts_ring_evictions);
@@ -104,7 +107,7 @@ void expect_stats_equal(const Harness& scalar, const Harness& vec) {
   EXPECT_EQ(is.one_sided_samples, iv.one_sided_samples);
   EXPECT_EQ(is.rate_limited, iv.rate_limited);
 
-  const FlowTableStats& fs = scalar.worker->tracker().table().stats();
+  const FlowTableStats& fs = ref.worker->tracker().table().stats();
   const FlowTableStats& fv = vec.worker->tracker().table().stats();
   EXPECT_EQ(fs.inserts, fv.inserts);
   EXPECT_EQ(fs.hits, fv.hits);
@@ -114,7 +117,7 @@ void expect_stats_equal(const Harness& scalar, const Harness& vec) {
   EXPECT_EQ(fs.tag_mismatches, fv.tag_mismatches);
   EXPECT_EQ(fs.sweep_evictions, fv.sweep_evictions);
 
-  EXPECT_EQ(scalar.worker->tracker().table().size(), vec.worker->tracker().table().size());
+  EXPECT_EQ(ref.worker->tracker().table().size(), vec.worker->tracker().table().size());
 }
 
 // --- fuzz stream ----------------------------------------------------
@@ -248,13 +251,13 @@ void run_oracle(std::uint64_t seed, InflowConfig inflow, std::size_t vector_pref
   // Capacity 64 against 48 flows: real probe collisions, tag mismatches
   // and insert pressure. stale_after 2 s + the stream's 3 s jumps:
   // verified-stale entries in the classify walk.
-  Harness scalar(QueueWorker::LoopKernel::kScalar, 64, Duration::from_sec(2.0), inflow);
-  Harness vec(QueueWorker::LoopKernel::kVector, 64, Duration::from_sec(2.0), inflow,
-              vector_prefetch_depth);
-  scalar.replay(rounds);
+  RefHarness ref(64, Duration::from_sec(2.0), inflow);
+  VecHarness vec(64, Duration::from_sec(2.0), inflow);
+  vec.worker->set_prefetch_depth(vector_prefetch_depth);
+  ref.replay(rounds);
   vec.replay(rounds);
-  expect_samples_equal(scalar.samples, vec.samples);
-  expect_stats_equal(scalar, vec);
+  expect_samples_equal(ref.samples, vec.samples);
+  expect_stats_equal(ref, vec);
   // The vector loop's own conservation: every fast-path skip was decided
   // on a candidate lane.
   EXPECT_EQ(vec.worker->stats().lane_skip, vec.worker->stats().fast_path_skips);
@@ -274,7 +277,7 @@ TEST(WorkerVectorFuzz, MatchesScalarOracleInflowOn) {
 
 TEST(WorkerVectorFuzz, MatchesScalarOracleRateLimited) {
   // min_interval > 0 exercises the rate-limit branch and the kOneSided
-  // suppression bookkeeping under both kernels.
+  // suppression bookkeeping in both workers.
   InflowConfig inflow;
   inflow.enabled = true;
   inflow.ring_entries = 4;
@@ -297,7 +300,7 @@ TEST(WorkerVector, HandshakeCompletingMidBurstIsVisibleToNextLane) {
   inflow.ring_entries = 8;
   inflow.min_interval = Duration{0};
 
-  auto feed = [&](Harness& h) {
+  auto feed = [&](auto& h) {
     const Ipv4Address client(10, 1, 0, 7);
     const Ipv4Address server(10, 2, 0, 1);
     auto tcp = [&](bool c2s, std::uint8_t flags, std::uint32_t seq, std::uint32_t ack,
@@ -326,12 +329,12 @@ TEST(WorkerVector, HandshakeCompletingMidBurstIsVisibleToNextLane) {
     }
   };
 
-  Harness vec(QueueWorker::LoopKernel::kVector, 1024, Duration::from_sec(30.0), inflow);
-  Harness scalar(QueueWorker::LoopKernel::kScalar, 1024, Duration::from_sec(30.0), inflow);
+  VecHarness vec(1024, Duration::from_sec(30.0), inflow);
+  RefHarness ref(1024, Duration::from_sec(30.0), inflow);
   feed(vec);
-  feed(scalar);
-  expect_samples_equal(scalar.samples, vec.samples);
-  expect_stats_equal(scalar, vec);
+  feed(ref);
+  expect_samples_equal(ref.samples, vec.samples);
+  expect_stats_equal(ref, vec);
 
   // The full-parse path runs the in-flow kernel on handshake segments
   // too (the SYN notes TSval 100), so four samples emerge in order:
@@ -353,18 +356,6 @@ TEST(WorkerVector, HandshakeCompletingMidBurstIsVisibleToNextLane) {
   // Both post-completion lanes ran the mutating lookup: the mid-run
   // flush that completed the handshake voided their batched verdicts.
   EXPECT_GE(vec.worker->stats().lane_revalidated.load(), 2u);
-}
-
-TEST(WorkerVector, ScalarLoopNeverDrivesLaneCounters) {
-  Harness h(QueueWorker::LoopKernel::kScalar, 1024, Duration::from_sec(30.0), InflowConfig{});
-  const auto rounds = fuzz_rounds(0xD00D, 20);
-  h.replay(rounds);
-  EXPECT_GT(h.worker->stats().packets.load(), 0u);
-  EXPECT_EQ(h.worker->stats().lane_skip, 0u);
-  EXPECT_EQ(h.worker->stats().lane_established, 0u);
-  EXPECT_EQ(h.worker->stats().lane_need_parse, 0u);
-  EXPECT_EQ(h.worker->stats().lane_revalidated, 0u);
-  EXPECT_EQ(h.worker->stats().classify_reprobes, 0u);
 }
 
 // --- shutdown drain -------------------------------------------------

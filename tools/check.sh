@@ -2,7 +2,7 @@
 # Sanitizer gate for the lock-free data path: builds the msg + flow
 # test suites (plus the util and driver suites their primitives live
 # under) with -fsanitize and runs them under ctest.  The publish path
-# takes no locks under HwmPolicy::kDrop, so it must stay TSan-clean;
+# takes no locks (a full subscriber queue drops), so it must stay TSan-clean;
 # the capture front end (table-driven Toeplitz, burst staging, the
 # fixed-offset pre-parse probe) does raw byte-offset reads, so it must
 # stay UBSan-clean too.
@@ -61,7 +61,8 @@
 # 1-in-64 must emit a sample stream bit-identical to the untraced run.
 #
 # The `worker` mode gates the vectorized poll loop: the lane pipeline,
-# the scalar-vs-vector fuzz oracles and the zero-alloc proof under
+# the fuzz oracles against the test-side reference worker and the
+# zero-alloc proof under
 # ASan+UBSan (the SoA descriptor indexes raw lanes and the masked
 # classify unions SIMD masks, so both heap misuse and UB must abort), a
 # TSan pass over the multi-worker path, and a fig2 regression smoke
@@ -223,11 +224,12 @@ fi
 
 if [ "$SAN" = "worker" ]; then
   # Vector-loop gate, part 1: the lane pipeline under ASan+UBSan in one
-  # build.  The scalar-vs-vector fuzz oracles (identical samples AND
-  # identical stats across random bursts), the mixed-burst
-  # handshake-completes-mid-burst ordering test, the masked-eq
-  # scalar/SIMD twins, and the counting-allocator proof that the vector
-  # poll loop's steady state never allocates.
+  # build.  The fuzz oracles against the one-probe-per-packet reference
+  # worker built into test_flow (identical samples AND identical stats
+  # across random bursts), the mixed-burst handshake-completes-mid-burst
+  # ordering test, the masked-eq scalar/SIMD twins, and the
+  # counting-allocator proof that the poll loop's steady state never
+  # allocates.
   BUILD="$ROOT/build-flow"
   cmake -B "$BUILD" -S "$ROOT" -DRURU_SANITIZE=address+undefined \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo
