@@ -67,6 +67,16 @@ struct EnricherStats {
   StatCell cache_misses = 0;
 };
 
+/// `enriched` is exported as enrich.processed: samples enriched, the
+/// enrichment stage's progress counter.
+inline constexpr auto kEnricherStatFields = std::to_array<StatField<EnricherStats>>({
+    {"enrich.processed", cell_at<&EnricherStats::enriched>},
+    {"enrich.unlocated", cell_at<&EnricherStats::unlocated>},
+    {"enrich.cache_hits", cell_at<&EnricherStats::cache_hits>},
+    {"enrich.cache_misses", cell_at<&EnricherStats::cache_misses>},
+});
+static_assert(stat_table_complete(kEnricherStatFields));
+
 class Enricher {
  public:
   Enricher(const GeoDatabase& geo, const AsDatabase& as, std::size_t cache_capacity = 8192)

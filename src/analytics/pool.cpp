@@ -103,9 +103,6 @@ void EnrichmentPool::worker_main(std::size_t index) {
     for (const EnrichedSample& sample : enriched) {
       for (const auto& sink : sinks_) sink(sample);
     }
-    // processed() counts samples, not messages, so pipeline accounting
-    // stays truthful when the feed batches.
-    processed_.fetch_add(samples.size(), std::memory_order_relaxed);
     if (timed || traced_msg) {
       const Timestamp done = clock.now();
       if (timed) {
@@ -141,13 +138,7 @@ void EnrichmentPool::worker_main(std::size_t index) {
 
 EnricherStats EnrichmentPool::combined_stats() const {
   EnricherStats total;
-  for (const auto& e : enrichers_) {
-    const auto& s = e->stats();
-    total.enriched += s.enriched;
-    total.unlocated += s.unlocated;
-    total.cache_hits += s.cache_hits;
-    total.cache_misses += s.cache_misses;
-  }
+  for (const auto& e : enrichers_) merge(total, e->stats(), kEnricherStatFields);
   return total;
 }
 

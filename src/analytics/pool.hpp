@@ -78,11 +78,13 @@ class EnrichmentPool {
   /// and joins the workers.
   void stop();
 
-  /// Samples enriched (a batched message counts all its samples).
-  [[nodiscard]] std::uint64_t processed() const { return processed_.load(); }
+  /// Samples enriched (a batched message counts all its samples): the
+  /// summed EnricherStats::enriched, counted as each sample is enriched,
+  /// before the sinks run.
+  [[nodiscard]] std::uint64_t processed() const { return combined_stats().enriched; }
   /// Messages (not samples) whose payload was rejected.
   [[nodiscard]] std::uint64_t decode_failures() const { return decode_failures_.load(); }
-  /// Aggregated cache stats across workers (valid after stop()).
+  /// Every enricher's stats, summed (live: each cell is a StatCell).
   [[nodiscard]] EnricherStats combined_stats() const;
 
  private:
@@ -99,7 +101,6 @@ class EnrichmentPool {
   std::atomic<std::size_t> pin_failures_{0};
   std::vector<std::thread> threads_;
   std::vector<std::unique_ptr<Enricher>> enrichers_;
-  std::atomic<std::uint64_t> processed_{0};
   std::atomic<std::uint64_t> decode_failures_{0};
   bool started_ = false;
 };

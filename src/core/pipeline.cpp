@@ -160,26 +160,35 @@ RuruPipeline::RuruPipeline(PipelineConfig config, const GeoDatabase& geo, const 
   }
 }
 
+namespace {
+
+/// One counter per row of `table`, each summing its cell over the shards
+/// `for_each_shard` hands to its callback.
+template <class S, std::size_t N, class ForEachShard>
+void register_stat_sums(obs::MetricsRegistry& metrics, const std::array<StatField<S>, N>& table,
+                        ForEachShard for_each_shard) {
+  for (const StatField<S>& f : table) {
+    metrics.register_counter_fn(f.name, [f, for_each_shard] {
+      std::uint64_t total = 0;
+      for_each_shard([&](const S& shard) { total += f.read(shard); });
+      return total;
+    });
+  }
+}
+
+}  // namespace
+
 void RuruPipeline::register_metrics() {
   // Callback metrics over the stages' own single-writer StatCells: the
   // data path is not instrumented twice, and a snapshot reads live
   // values race-free. Registered unconditionally — polling only happens
-  // at snapshot time, and summary() is a view over these.
+  // at snapshot time, and summary() is a view over these.  Each stats
+  // struct's field table (next to the struct) names its counters.
   // NIC counters merge the whole-port shard and every producer-lane
   // shard (stats_totals), so the numbers stay truthful under both
   // single-producer and sharded injection topologies.
-  metrics_.register_counter_fn("nic.rx_packets",
-                               [this] { return nic_->stats_totals().rx_packets.load(); });
-  metrics_.register_counter_fn("nic.rx_bytes",
-                               [this] { return nic_->stats_totals().rx_bytes.load(); });
-  metrics_.register_counter_fn("nic.dropped_no_mbuf",
-                               [this] { return nic_->stats_totals().dropped_no_mbuf.load(); });
-  metrics_.register_counter_fn("nic.dropped_queue_full",
-                               [this] { return nic_->stats_totals().dropped_queue_full.load(); });
-  metrics_.register_counter_fn("nic.dropped_oversize",
-                               [this] { return nic_->stats_totals().dropped_oversize.load(); });
-  metrics_.register_counter_fn("nic.dropped_misrouted",
-                               [this] { return nic_->stats_totals().dropped_misrouted.load(); });
+  register_stat_sums(metrics_, kNicStatFields,
+                     [this](auto&& add) { add(nic_->stats_totals()); });
   metrics_.register_counter_fn("mempool.alloc_failures",
                                [this] { return pool_.alloc_failures(); });
   for (std::uint16_t q = 0; q < config_.num_queues; ++q) {
@@ -188,125 +197,19 @@ void RuruPipeline::register_metrics() {
     });
   }
 
-  // Worker / tracker / flow-table counters, summed across queues.
-  const auto sum_workers = [this](auto field) {
-    return [this, field]() -> std::uint64_t {
-      std::uint64_t total = 0;
-      for (const auto& w : workers_) total += field(*w);
-      return total;
-    };
+  // Worker / tracker / flow-table / in-flow counters, summed across
+  // queues (the in-flow cells stay zero with flow.inflow_rtt off).
+  const auto per_worker = [this](const auto& table, auto stats_of) {
+    register_stat_sums(metrics_, table, [this, stats_of](auto&& add) {
+      for (const auto& w : workers_) add(stats_of(*w));
+    });
   };
-  metrics_.register_counter_fn(
-      "worker.polls", sum_workers([](const QueueWorker& w) { return w.stats().polls.load(); }));
-  metrics_.register_counter_fn("worker.empty_polls", sum_workers([](const QueueWorker& w) {
-                                 return w.stats().empty_polls.load();
-                               }));
-  metrics_.register_counter_fn("worker.packets", sum_workers([](const QueueWorker& w) {
-                                 return w.stats().packets.load();
-                               }));
-  metrics_.register_counter_fn(
-      "worker.bytes", sum_workers([](const QueueWorker& w) { return w.stats().bytes.load(); }));
-  metrics_.register_counter_fn("worker.fast_path_skips", sum_workers([](const QueueWorker& w) {
-                                 return w.stats().fast_path_skips.load();
-                               }));
-  metrics_.register_counter_fn("worker.batch_flushes", sum_workers([](const QueueWorker& w) {
-                                 return w.stats().batch_flushes.load();
-                               }));
-  metrics_.register_counter_fn("worker.batched_samples", sum_workers([](const QueueWorker& w) {
-                                 return w.stats().batched_samples.load();
-                               }));
-  static constexpr std::array<const char*, 5> kParseNames = {
-      "worker.parse_ok", "worker.parse_not_ip", "worker.parse_not_tcp",
-      "worker.parse_fragment", "worker.parse_malformed"};
-  for (std::size_t i = 0; i < kParseNames.size(); ++i) {
-    metrics_.register_counter_fn(kParseNames[i], sum_workers([i](const QueueWorker& w) {
-                                   return w.stats().parse_status[i].load();
-                                 }));
-  }
-  metrics_.register_counter_fn("tracker.syn_seen", sum_workers([](const QueueWorker& w) {
-                                 return w.tracker_stats().syn_seen.load();
-                               }));
-  metrics_.register_counter_fn("tracker.syn_retransmissions",
-                               sum_workers([](const QueueWorker& w) {
-                                 return w.tracker_stats().syn_retransmissions.load();
-                               }));
-  metrics_.register_counter_fn("tracker.synack_seen", sum_workers([](const QueueWorker& w) {
-                                 return w.tracker_stats().synack_seen.load();
-                               }));
-  metrics_.register_counter_fn("tracker.synack_unmatched", sum_workers([](const QueueWorker& w) {
-                                 return w.tracker_stats().synack_unmatched.load();
-                               }));
-  metrics_.register_counter_fn("tracker.ack_matched", sum_workers([](const QueueWorker& w) {
-                                 return w.tracker_stats().ack_matched.load();
-                               }));
-  metrics_.register_counter_fn("tracker.rst_seen", sum_workers([](const QueueWorker& w) {
-                                 return w.tracker_stats().rst_seen.load();
-                               }));
-  metrics_.register_counter_fn("tracker.samples_emitted", sum_workers([](const QueueWorker& w) {
-                                 return w.tracker_stats().samples_emitted.load();
-                               }));
-  metrics_.register_counter_fn("tracker.table_drops", sum_workers([](const QueueWorker& w) {
-                                 return w.tracker_stats().table_drops.load();
-                               }));
-  metrics_.register_counter_fn("flow.inserts", sum_workers([](const QueueWorker& w) {
-                                 return w.tracker().table().stats().inserts.load();
-                               }));
-  metrics_.register_counter_fn("flow.hits", sum_workers([](const QueueWorker& w) {
-                                 return w.tracker().table().stats().hits.load();
-                               }));
-  metrics_.register_counter_fn("flow.evictions_stale", sum_workers([](const QueueWorker& w) {
-                                 return w.tracker().table().stats().evictions_stale.load();
-                               }));
-  metrics_.register_counter_fn("flow.insert_failures", sum_workers([](const QueueWorker& w) {
-                                 return w.tracker().table().stats().insert_failures.load();
-                               }));
-  metrics_.register_counter_fn("flow.erases", sum_workers([](const QueueWorker& w) {
-                                 return w.tracker().table().stats().erases.load();
-                               }));
-  metrics_.register_counter_fn("flow.tag_mismatches", sum_workers([](const QueueWorker& w) {
-                                 return w.tracker().table().stats().tag_mismatches.load();
-                               }));
-  metrics_.register_counter_fn("flow.sweep_evictions", sum_workers([](const QueueWorker& w) {
-                                 return w.tracker().table().stats().sweep_evictions.load();
-                               }));
-  // In-flow RTT kernel counters (all zero with flow.inflow_rtt off).
-  metrics_.register_counter_fn("flow.ts_matches", sum_workers([](const QueueWorker& w) {
-                                 return w.tracker().inflow_stats().ts_matches.load();
-                               }));
-  metrics_.register_counter_fn("flow.ts_ring_evictions", sum_workers([](const QueueWorker& w) {
-                                 return w.tracker().inflow_stats().ts_ring_evictions.load();
-                               }));
-  metrics_.register_counter_fn("flow.ts_wraps", sum_workers([](const QueueWorker& w) {
-                                 return w.tracker().inflow_stats().ts_wraps.load();
-                               }));
-  metrics_.register_counter_fn("flow.inflow_samples", sum_workers([](const QueueWorker& w) {
-                                 return w.tracker().inflow_stats().inflow_samples.load();
-                               }));
-  metrics_.register_counter_fn("flow.one_sided_samples", sum_workers([](const QueueWorker& w) {
-                                 return w.tracker().inflow_stats().one_sided_samples.load();
-                               }));
-  metrics_.register_counter_fn("flow.inflow_rate_limited", sum_workers([](const QueueWorker& w) {
-                                 return w.tracker().inflow_stats().rate_limited.load();
-                               }));
-  metrics_.register_counter_fn("worker.inflow_consumed", sum_workers([](const QueueWorker& w) {
-                                 return w.stats().inflow_consumed.load();
-                               }));
-  // Lane accounting: how the worker's stage 4 resolved candidate lanes.
-  metrics_.register_counter_fn("worker.lane_skip", sum_workers([](const QueueWorker& w) {
-                                 return w.stats().lane_skip.load();
-                               }));
-  metrics_.register_counter_fn("worker.lane_established", sum_workers([](const QueueWorker& w) {
-                                 return w.stats().lane_established.load();
-                               }));
-  metrics_.register_counter_fn("worker.lane_need_parse", sum_workers([](const QueueWorker& w) {
-                                 return w.stats().lane_need_parse.load();
-                               }));
-  metrics_.register_counter_fn("worker.lane_revalidated", sum_workers([](const QueueWorker& w) {
-                                 return w.stats().lane_revalidated.load();
-                               }));
-  metrics_.register_counter_fn("worker.classify_reprobes", sum_workers([](const QueueWorker& w) {
-                                 return w.stats().classify_reprobes.load();
-                               }));
+  per_worker(kWorkerStatFields, [](const QueueWorker& w) -> auto& { return w.stats(); });
+  per_worker(kTrackerStatFields, [](const QueueWorker& w) -> auto& { return w.tracker_stats(); });
+  per_worker(kFlowTableStatFields,
+             [](const QueueWorker& w) -> auto& { return w.tracker().table().stats(); });
+  per_worker(kInflowStatFields,
+             [](const QueueWorker& w) -> auto& { return w.tracker().inflow_stats(); });
   metrics_.register_gauge_fn("flow.entries", [this] {
     std::size_t total = 0;
     for (const auto& w : workers_) total += w->tracker().table().size();
@@ -325,18 +228,11 @@ void RuruPipeline::register_metrics() {
   metrics_.register_gauge_fn("bus.pending", [this] {
     return static_cast<double>(enrichment_sub_->pending());
   });
-  metrics_.register_counter_fn("enrich.processed", [this] { return enrichment_->processed(); });
+  // Enricher shards are summed by combined_stats().
+  register_stat_sums(metrics_, kEnricherStatFields,
+                     [this](auto&& add) { add(enrichment_->combined_stats()); });
   metrics_.register_counter_fn("enrich.decode_failures",
                                [this] { return enrichment_->decode_failures(); });
-  metrics_.register_counter_fn("enrich.unlocated", [this] {
-    return enrichment_->combined_stats().unlocated.load();
-  });
-  metrics_.register_counter_fn("enrich.cache_hits", [this] {
-    return enrichment_->combined_stats().cache_hits.load();
-  });
-  metrics_.register_counter_fn("enrich.cache_misses", [this] {
-    return enrichment_->combined_stats().cache_misses.load();
-  });
   metrics_.register_counter_fn("tsdb.points", [this] { return tsdb_.points_written(); });
   metrics_.register_counter_fn("alerts.raised",
                                [this] { return static_cast<std::uint64_t>(alerts_.count()); });
@@ -695,33 +591,13 @@ PipelineSummary RuruPipeline::summary() const {
   // snapshot thread exports, merged once. One source of truth.
   const obs::MetricsSnapshot snap = metrics_.snapshot(Timestamp{});
   PipelineSummary s;
-  s.nic.rx_packets = snap.counter_or("nic.rx_packets");
-  s.nic.rx_bytes = snap.counter_or("nic.rx_bytes");
-  s.nic.dropped_no_mbuf = snap.counter_or("nic.dropped_no_mbuf");
-  s.nic.dropped_queue_full = snap.counter_or("nic.dropped_queue_full");
-  s.nic.dropped_oversize = snap.counter_or("nic.dropped_oversize");
-  s.nic.dropped_misrouted = snap.counter_or("nic.dropped_misrouted");
+  const auto fill = [&snap](auto& stats, const auto& table) {
+    for (const auto& f : table) f.cell(stats) = snap.counter_or(f.name);
+  };
+  fill(s.nic, kNicStatFields);
+  fill(s.workers, kWorkerStatFields);
+  fill(s.tracker, kTrackerStatFields);
   s.mempool_alloc_failures = snap.counter_or("mempool.alloc_failures");
-  s.workers.polls = snap.counter_or("worker.polls");
-  s.workers.empty_polls = snap.counter_or("worker.empty_polls");
-  s.workers.packets = snap.counter_or("worker.packets");
-  s.workers.bytes = snap.counter_or("worker.bytes");
-  s.workers.fast_path_skips = snap.counter_or("worker.fast_path_skips");
-  s.workers.batch_flushes = snap.counter_or("worker.batch_flushes");
-  s.workers.batched_samples = snap.counter_or("worker.batched_samples");
-  s.workers.parse_status[0] = snap.counter_or("worker.parse_ok");
-  s.workers.parse_status[1] = snap.counter_or("worker.parse_not_ip");
-  s.workers.parse_status[2] = snap.counter_or("worker.parse_not_tcp");
-  s.workers.parse_status[3] = snap.counter_or("worker.parse_fragment");
-  s.workers.parse_status[4] = snap.counter_or("worker.parse_malformed");
-  s.tracker.syn_seen = snap.counter_or("tracker.syn_seen");
-  s.tracker.syn_retransmissions = snap.counter_or("tracker.syn_retransmissions");
-  s.tracker.synack_seen = snap.counter_or("tracker.synack_seen");
-  s.tracker.synack_unmatched = snap.counter_or("tracker.synack_unmatched");
-  s.tracker.ack_matched = snap.counter_or("tracker.ack_matched");
-  s.tracker.rst_seen = snap.counter_or("tracker.rst_seen");
-  s.tracker.samples_emitted = snap.counter_or("tracker.samples_emitted");
-  s.tracker.table_drops = snap.counter_or("tracker.table_drops");
   const std::uint64_t alerts_published = snap.counter_or("bus.alerts_published");
   s.bus_alerts_published = alerts_published;
   s.bus_published = snap.counter_or("bus.published") - alerts_published;  // latency samples

@@ -45,14 +45,7 @@ SimNic::SimNic(const NicConfig& config, Mempool& pool)
 
 NicStats SimNic::stats_totals() const {
   NicStats total = stats_;  // StatCell copies via relaxed loads
-  for (const NicStats& lane : lane_stats_) {
-    total.rx_packets += lane.rx_packets.load();
-    total.rx_bytes += lane.rx_bytes.load();
-    total.dropped_no_mbuf += lane.dropped_no_mbuf.load();
-    total.dropped_queue_full += lane.dropped_queue_full.load();
-    total.dropped_oversize += lane.dropped_oversize.load();
-    total.dropped_misrouted += lane.dropped_misrouted.load();
-  }
+  for (const NicStats& lane : lane_stats_) merge(total, lane, kNicStatFields);
   return total;
 }
 

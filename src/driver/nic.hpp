@@ -49,6 +49,16 @@ struct NicStats {
   StatCell dropped_misrouted = 0;
 };
 
+inline constexpr auto kNicStatFields = std::to_array<StatField<NicStats>>({
+    {"nic.rx_packets", cell_at<&NicStats::rx_packets>},
+    {"nic.rx_bytes", cell_at<&NicStats::rx_bytes>},
+    {"nic.dropped_no_mbuf", cell_at<&NicStats::dropped_no_mbuf>},
+    {"nic.dropped_queue_full", cell_at<&NicStats::dropped_queue_full>},
+    {"nic.dropped_oversize", cell_at<&NicStats::dropped_oversize>},
+    {"nic.dropped_misrouted", cell_at<&NicStats::dropped_misrouted>},
+});
+static_assert(stat_table_complete(kNicStatFields));
+
 struct NicConfig {
   std::uint16_t num_queues = 4;
   std::size_t queue_depth = 4096;

@@ -90,6 +90,17 @@ struct FlowTableStats {
   StatCell sweep_evictions = 0;  ///< evictions_stale subset found by sweep()
 };
 
+inline constexpr auto kFlowTableStatFields = std::to_array<StatField<FlowTableStats>>({
+    {"flow.inserts", cell_at<&FlowTableStats::inserts>},
+    {"flow.hits", cell_at<&FlowTableStats::hits>},
+    {"flow.evictions_stale", cell_at<&FlowTableStats::evictions_stale>},
+    {"flow.insert_failures", cell_at<&FlowTableStats::insert_failures>},
+    {"flow.erases", cell_at<&FlowTableStats::erases>},
+    {"flow.tag_mismatches", cell_at<&FlowTableStats::tag_mismatches>},
+    {"flow.sweep_evictions", cell_at<&FlowTableStats::sweep_evictions>},
+});
+static_assert(stat_table_complete(kFlowTableStatFields));
+
 /// Observability hooks, installed by the pipeline before the worker
 /// runs.  Default-constructed handles are inert no-ops.
 struct FlowTableObs {

@@ -33,6 +33,18 @@ struct TrackerStats {
   StatCell table_drops = 0;  ///< SYN not inserted (table pressure)
 };
 
+inline constexpr auto kTrackerStatFields = std::to_array<StatField<TrackerStats>>({
+    {"tracker.syn_seen", cell_at<&TrackerStats::syn_seen>},
+    {"tracker.syn_retransmissions", cell_at<&TrackerStats::syn_retransmissions>},
+    {"tracker.synack_seen", cell_at<&TrackerStats::synack_seen>},
+    {"tracker.synack_unmatched", cell_at<&TrackerStats::synack_unmatched>},
+    {"tracker.ack_matched", cell_at<&TrackerStats::ack_matched>},
+    {"tracker.rst_seen", cell_at<&TrackerStats::rst_seen>},
+    {"tracker.samples_emitted", cell_at<&TrackerStats::samples_emitted>},
+    {"tracker.table_drops", cell_at<&TrackerStats::table_drops>},
+});
+static_assert(stat_table_complete(kTrackerStatFields));
+
 /// Single-writer cells for the in-flow RTT kernel.
 struct InflowStats {
   StatCell ts_matches = 0;         ///< TSecr hits against a noted TSval
@@ -42,6 +54,16 @@ struct InflowStats {
   StatCell one_sided_samples = 0;  ///< kOneSided samples emitted
   StatCell rate_limited = 0;       ///< matches suppressed by min_interval
 };
+
+inline constexpr auto kInflowStatFields = std::to_array<StatField<InflowStats>>({
+    {"flow.ts_matches", cell_at<&InflowStats::ts_matches>},
+    {"flow.ts_ring_evictions", cell_at<&InflowStats::ts_ring_evictions>},
+    {"flow.ts_wraps", cell_at<&InflowStats::ts_wraps>},
+    {"flow.inflow_samples", cell_at<&InflowStats::inflow_samples>},
+    {"flow.one_sided_samples", cell_at<&InflowStats::one_sided_samples>},
+    {"flow.inflow_rate_limited", cell_at<&InflowStats::rate_limited>},
+});
+static_assert(stat_table_complete(kInflowStatFields));
 
 /// Continuous in-flow RTT configuration (off by default: handshake-only
 /// tracking, bit-identical to the pre-feature pipeline).

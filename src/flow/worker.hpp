@@ -108,6 +108,28 @@ struct WorkerStats {
   StatCell classify_reprobes = 0;
 };
 
+inline constexpr auto kWorkerStatFields = std::to_array<StatField<WorkerStats>>({
+    {"worker.polls", cell_at<&WorkerStats::polls>},
+    {"worker.empty_polls", cell_at<&WorkerStats::empty_polls>},
+    {"worker.packets", cell_at<&WorkerStats::packets>},
+    {"worker.bytes", cell_at<&WorkerStats::bytes>},
+    {"worker.parse_ok", cell_at<&WorkerStats::parse_status, 0>},
+    {"worker.parse_not_ip", cell_at<&WorkerStats::parse_status, 1>},
+    {"worker.parse_not_tcp", cell_at<&WorkerStats::parse_status, 2>},
+    {"worker.parse_fragment", cell_at<&WorkerStats::parse_status, 3>},
+    {"worker.parse_malformed", cell_at<&WorkerStats::parse_status, 4>},
+    {"worker.fast_path_skips", cell_at<&WorkerStats::fast_path_skips>},
+    {"worker.inflow_consumed", cell_at<&WorkerStats::inflow_consumed>},
+    {"worker.batch_flushes", cell_at<&WorkerStats::batch_flushes>},
+    {"worker.batched_samples", cell_at<&WorkerStats::batched_samples>},
+    {"worker.lane_skip", cell_at<&WorkerStats::lane_skip>},
+    {"worker.lane_established", cell_at<&WorkerStats::lane_established>},
+    {"worker.lane_need_parse", cell_at<&WorkerStats::lane_need_parse>},
+    {"worker.lane_revalidated", cell_at<&WorkerStats::lane_revalidated>},
+    {"worker.classify_reprobes", cell_at<&WorkerStats::classify_reprobes>},
+});
+static_assert(stat_table_complete(kWorkerStatFields));
+
 class QueueWorker {
  public:
   using SampleSink = std::function<void(const LatencySample&)>;

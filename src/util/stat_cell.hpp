@@ -12,8 +12,19 @@
 // The single-writer contract is the point: two threads incrementing the
 // same cell can lose updates.  Shard per writer (one stats struct per
 // queue/worker, merged on read) exactly as the stages already do.
+//
+// Field tables.  Each stats struct is declared once, next to a constexpr
+// table with one StatField row per cell: the exported metric name and an
+// accessor for the cell.  Everything that walks a struct field by field
+// derives from that table instead of re-listing the fields: metric
+// registration (one counter per row, summed across shards), cross-shard
+// merge(), PipelineSummary, and the oracle tests.  A static_assert beside
+// each table (stat_table_complete) fails the build when a cell is added
+// to the struct but not to its table, or listed twice.
 
+#include <array>
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <ostream>
 
@@ -63,5 +74,54 @@ class StatCell {
 };
 
 inline std::ostream& operator<<(std::ostream& os, const StatCell& c) { return os << c.load(); }
+
+/// One row of a stats struct's field table.  The row carries the metric
+/// name rather than deriving it from the field, because some exported
+/// names are irregular (InflowStats::rate_limited is
+/// "flow.inflow_rate_limited").
+template <class S>
+struct StatField {
+  const char* name;
+  StatCell& (*cell)(S&);
+
+  /// The same cell of a const struct (the accessor only forms a
+  /// reference; nothing is written).
+  [[nodiscard]] std::uint64_t read(const S& s) const {
+    return cell(const_cast<S&>(s)).load();
+  }
+};
+
+/// Row accessor for member `M` (a StatCell), or for element I of `M`
+/// when `M` is an array of cells: cell_at<&WorkerStats::polls>,
+/// cell_at<&WorkerStats::parse_status, 0>.
+template <auto M, std::size_t... I>
+  requires(sizeof...(I) <= 1)
+constexpr StatCell& cell_at(auto& s) {
+  if constexpr (sizeof...(I) == 0) {
+    return s.*M;
+  } else {
+    return (s.*M)[(I + ...)];
+  }
+}
+
+/// True when `table` names every cell of S exactly once: as many rows as
+/// S holds cells (S is nothing but StatCells), no cell listed twice.
+template <class S, std::size_t N>
+constexpr bool stat_table_complete(const std::array<StatField<S>, N>& table) {
+  if (N * sizeof(StatCell) != sizeof(S)) return false;
+  S probe{};
+  for (std::size_t i = 0; i < N; ++i) {
+    for (std::size_t j = i + 1; j < N; ++j) {
+      if (&table[i].cell(probe) == &table[j].cell(probe)) return false;
+    }
+  }
+  return true;
+}
+
+/// total += shard, cell by cell.
+template <class S, std::size_t N>
+void merge(S& total, const S& shard, const std::array<StatField<S>, N>& table) {
+  for (const StatField<S>& f : table) f.cell(total) += f.read(shard);
+}
 
 }  // namespace ruru

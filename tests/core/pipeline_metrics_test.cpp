@@ -5,9 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "capture/scenarios.hpp"
 #include "core/pipeline.hpp"
@@ -64,19 +66,182 @@ class PipelineMetricsTest : public ::testing::Test {
   World world_;
 };
 
+/// Every NIC, worker and tracker cell of the summary against its
+/// registry counter, by exported name.  Listed by hand rather than read
+/// from the field tables, so a table row with the wrong name or cell
+/// shows up here.
+void expect_stat_cells_match(const PipelineSummary& s, const obs::MetricsSnapshot& snap) {
+  const auto c = [&snap](const char* name) { return snap.counter_or(name); };
+  EXPECT_EQ(s.nic.rx_packets, c("nic.rx_packets"));
+  EXPECT_EQ(s.nic.rx_bytes, c("nic.rx_bytes"));
+  EXPECT_EQ(s.nic.dropped_no_mbuf, c("nic.dropped_no_mbuf"));
+  EXPECT_EQ(s.nic.dropped_queue_full, c("nic.dropped_queue_full"));
+  EXPECT_EQ(s.nic.dropped_oversize, c("nic.dropped_oversize"));
+  EXPECT_EQ(s.nic.dropped_misrouted, c("nic.dropped_misrouted"));
+
+  EXPECT_EQ(s.workers.polls, c("worker.polls"));
+  EXPECT_EQ(s.workers.empty_polls, c("worker.empty_polls"));
+  EXPECT_EQ(s.workers.packets, c("worker.packets"));
+  EXPECT_EQ(s.workers.bytes, c("worker.bytes"));
+  EXPECT_EQ(s.workers.parse_status[0], c("worker.parse_ok"));
+  EXPECT_EQ(s.workers.parse_status[1], c("worker.parse_not_ip"));
+  EXPECT_EQ(s.workers.parse_status[2], c("worker.parse_not_tcp"));
+  EXPECT_EQ(s.workers.parse_status[3], c("worker.parse_fragment"));
+  EXPECT_EQ(s.workers.parse_status[4], c("worker.parse_malformed"));
+  EXPECT_EQ(s.workers.fast_path_skips, c("worker.fast_path_skips"));
+  EXPECT_EQ(s.workers.inflow_consumed, c("worker.inflow_consumed"));
+  EXPECT_EQ(s.workers.batch_flushes, c("worker.batch_flushes"));
+  EXPECT_EQ(s.workers.batched_samples, c("worker.batched_samples"));
+  EXPECT_EQ(s.workers.lane_skip, c("worker.lane_skip"));
+  EXPECT_EQ(s.workers.lane_established, c("worker.lane_established"));
+  EXPECT_EQ(s.workers.lane_need_parse, c("worker.lane_need_parse"));
+  EXPECT_EQ(s.workers.lane_revalidated, c("worker.lane_revalidated"));
+  EXPECT_EQ(s.workers.classify_reprobes, c("worker.classify_reprobes"));
+
+  EXPECT_EQ(s.tracker.syn_seen, c("tracker.syn_seen"));
+  EXPECT_EQ(s.tracker.syn_retransmissions, c("tracker.syn_retransmissions"));
+  EXPECT_EQ(s.tracker.synack_seen, c("tracker.synack_seen"));
+  EXPECT_EQ(s.tracker.synack_unmatched, c("tracker.synack_unmatched"));
+  EXPECT_EQ(s.tracker.ack_matched, c("tracker.ack_matched"));
+  EXPECT_EQ(s.tracker.rst_seen, c("tracker.rst_seen"));
+  EXPECT_EQ(s.tracker.samples_emitted, c("tracker.samples_emitted"));
+  EXPECT_EQ(s.tracker.table_drops, c("tracker.table_drops"));
+}
+
 TEST_F(PipelineMetricsTest, SummaryIsAViewOverTheRegistry) {
-  RuruPipeline pipeline(metrics_config(), world_.geo, world_.as);
-  replay(pipeline);
+  for (const bool inflow : {false, true}) {
+    SCOPED_TRACE(inflow ? "inflow_rtt on" : "inflow_rtt off");
+    PipelineConfig cfg = metrics_config();
+    cfg.inflow_rtt = inflow;
+    RuruPipeline pipeline(cfg, world_.geo, world_.as);
+    replay(pipeline);
 
-  const PipelineSummary summary = pipeline.summary();
+    const PipelineSummary summary = pipeline.summary();
+    const obs::MetricsSnapshot snap = pipeline.metrics().snapshot(Timestamp{});
+
+    EXPECT_GT(summary.nic.rx_packets, 0u);
+    expect_stat_cells_match(summary, snap);
+    EXPECT_EQ(summary.enriched, snap.counter_or("enrich.processed"));
+    EXPECT_EQ(summary.tsdb_points, snap.counter_or("tsdb.points"));
+
+    // The worker conservation law holds on the summary itself.
+    std::uint64_t classified = 0;
+    for (const auto& c : summary.workers.parse_status) classified += c;
+    EXPECT_EQ(summary.workers.packets,
+              classified + summary.workers.fast_path_skips + summary.workers.inflow_consumed);
+    if (inflow) EXPECT_GT(summary.workers.inflow_consumed, 0u);
+  }
+}
+
+// The exported catalog, pinned: external readers (the end-to-end
+// benchmark harness, ruru.self.* dashboards) look metrics up by name, so
+// a rename or a dropped registration must show up here.  Configuration:
+// 2 queues, metrics on, in-flow RTT on, fast path on.
+TEST_F(PipelineMetricsTest, MetricNamesMatchTheCatalog) {
+  PipelineConfig cfg = metrics_config();
+  cfg.inflow_rtt = true;
+  cfg.worker_fast_path = true;
+  RuruPipeline pipeline(cfg, world_.geo, world_.as);
+  // start() runs the enrichment threads, which register their histogram
+  // shards (bus.queue_wait_ns, enrich.batch_ns, pipeline.transit_ns).
+  pipeline.start();
+  pipeline.finish();
+
   const obs::MetricsSnapshot snap = pipeline.metrics().snapshot(Timestamp{});
-
-  EXPECT_GT(summary.nic.rx_packets, 0u);
-  EXPECT_EQ(summary.nic.rx_packets, snap.counter_or("nic.rx_packets"));
-  EXPECT_EQ(summary.workers.packets, snap.counter_or("worker.packets"));
-  EXPECT_EQ(summary.tracker.samples_emitted, snap.counter_or("tracker.samples_emitted"));
-  EXPECT_EQ(summary.enriched, snap.counter_or("enrich.processed"));
-  EXPECT_EQ(summary.tsdb_points, snap.counter_or("tsdb.points"));
+  const auto sorted_names = [](const auto& entries) {
+    std::vector<std::string> out;
+    for (const auto& [name, value] : entries) out.push_back(name);
+    std::sort(out.begin(), out.end());
+    return out;
+  };
+  const std::vector<std::string> counters = {
+      "alerts.raised",
+      "bus.alerts_published",
+      "bus.delivered",
+      "bus.dropped",
+      "bus.published",
+      "enrich.cache_hits",
+      "enrich.cache_misses",
+      "enrich.decode_failures",
+      "enrich.processed",
+      "enrich.unlocated",
+      "flow.erases",
+      "flow.evictions_stale",
+      "flow.hits",
+      "flow.inflow_rate_limited",
+      "flow.inflow_samples",
+      "flow.insert_failures",
+      "flow.inserts",
+      "flow.one_sided_samples",
+      "flow.sweep_evictions",
+      "flow.tag_mismatches",
+      "flow.ts_matches",
+      "flow.ts_ring_evictions",
+      "flow.ts_wraps",
+      "health.dumps",
+      "health.stalls",
+      "mempool.alloc_failures",
+      "nic.dropped_misrouted",
+      "nic.dropped_no_mbuf",
+      "nic.dropped_oversize",
+      "nic.dropped_queue_full",
+      "nic.rx_bytes",
+      "nic.rx_packets",
+      "trace.events",
+      "tracker.ack_matched",
+      "tracker.rst_seen",
+      "tracker.samples_emitted",
+      "tracker.syn_retransmissions",
+      "tracker.syn_seen",
+      "tracker.synack_seen",
+      "tracker.synack_unmatched",
+      "tracker.table_drops",
+      "tsdb.points",
+      "worker.batch_flushes",
+      "worker.batched_samples",
+      "worker.bytes",
+      "worker.classify_reprobes",
+      "worker.empty_polls",
+      "worker.fast_path_skips",
+      "worker.inflow_consumed",
+      "worker.lane_established",
+      "worker.lane_need_parse",
+      "worker.lane_revalidated",
+      "worker.lane_skip",
+      "worker.packets",
+      "worker.parse_fragment",
+      "worker.parse_malformed",
+      "worker.parse_not_ip",
+      "worker.parse_not_tcp",
+      "worker.parse_ok",
+      "worker.polls",
+  };
+  const std::vector<std::string> gauges = {
+      "bus.pending",
+      "flow.entries",
+      "nic.queue_occupancy.q0",
+      "nic.queue_occupancy.q1",
+  };
+  const std::vector<std::string> histograms = {
+      "bus.queue_wait_ns",
+      "enrich.batch_ns",
+      "flow.group_occupancy",
+      "flow.inflow_rtt_ns",
+      "flow.one_sided_delta_ns",
+      "flow.probe_groups",
+      "pipeline.transit_ns",
+      "tsdb.write_ns",
+      "worker.batch_fill",
+      "worker.burst_candidates",
+      "worker.candidate_run_len",
+      "worker.poll_batch",
+  };
+  EXPECT_EQ(sorted_names(snap.counters), counters);
+  EXPECT_EQ(sorted_names(snap.gauges), gauges);
+  EXPECT_EQ(sorted_names(snap.histograms), histograms);
+  EXPECT_EQ(counters.size(), 60u);
+  EXPECT_EQ(gauges.size(), 4u);
+  EXPECT_EQ(histograms.size(), 12u);
 }
 
 TEST_F(PipelineMetricsTest, HotPathHistogramsFillWhenEnabled) {

@@ -158,6 +158,11 @@ TEST_F(PipelineTest, SummaryToStringMentionsKeyCounters) {
   const std::string s = pipeline.summary().to_string();
   EXPECT_NE(s.find("rx="), std::string::npos);
   EXPECT_NE(s.find("samples="), std::string::npos);
+  // Every NIC drop reason is on the line.
+  EXPECT_NE(s.find("no_mbuf=0"), std::string::npos);
+  EXPECT_NE(s.find("qfull=0"), std::string::npos);
+  EXPECT_NE(s.find("oversize=0"), std::string::npos);
+  EXPECT_NE(s.find("misrouted=0"), std::string::npos);
 }
 
 TEST_F(PipelineTest, AsymmetricRssBreaksMeasurementOnMultiQueue) {

@@ -205,20 +205,17 @@ TEST_P(TrackerOracleTest, SimdBurstMatchesScalarPerPacketOracle) {
     EXPECT_EQ(a.queue_id, b.queue_id) << "sample " << i;
   }
 
-  EXPECT_EQ(simd.stats().syn_seen, scalar.stats().syn_seen);
-  EXPECT_EQ(simd.stats().syn_retransmissions, scalar.stats().syn_retransmissions);
-  EXPECT_EQ(simd.stats().synack_seen, scalar.stats().synack_seen);
-  EXPECT_EQ(simd.stats().synack_unmatched, scalar.stats().synack_unmatched);
-  EXPECT_EQ(simd.stats().ack_matched, scalar.stats().ack_matched);
-  EXPECT_EQ(simd.stats().rst_seen, scalar.stats().rst_seen);
-  EXPECT_EQ(simd.stats().samples_emitted, scalar.stats().samples_emitted);
-  EXPECT_EQ(simd.stats().table_drops, scalar.stats().table_drops);
+  // Every cell of every stats struct, by its field table.
+  for (const auto& f : kTrackerStatFields) {
+    EXPECT_EQ(f.read(simd.stats()), f.read(scalar.stats())) << f.name;
+  }
+  for (const auto& f : kFlowTableStatFields) {
+    EXPECT_EQ(f.read(simd.table().stats()), f.read(scalar.table().stats())) << f.name;
+  }
+  for (const auto& f : kInflowStatFields) {
+    EXPECT_EQ(f.read(simd.inflow_stats()), f.read(scalar.inflow_stats())) << f.name;
+  }
   EXPECT_EQ(simd.table().size(), scalar.table().size());
-  EXPECT_EQ(simd.table().stats().inserts, scalar.table().stats().inserts);
-  EXPECT_EQ(simd.table().stats().hits, scalar.table().stats().hits);
-  EXPECT_EQ(simd.table().stats().erases, scalar.table().stats().erases);
-  EXPECT_EQ(simd.table().stats().insert_failures, scalar.table().stats().insert_failures);
-  EXPECT_EQ(simd.table().stats().tag_mismatches, scalar.table().stats().tag_mismatches);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, TrackerOracleTest,

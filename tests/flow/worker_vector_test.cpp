@@ -74,6 +74,12 @@ void expect_samples_equal(const std::vector<LatencySample>& a,
   }
 }
 
+/// Every cell of `table`, compared by its exported name.
+template <class S, std::size_t N>
+void expect_cells_equal(const S& a, const S& b, const std::array<StatField<S>, N>& table) {
+  for (const StatField<S>& f : table) EXPECT_EQ(f.read(a), f.read(b)) << f.name;
+}
+
 /// Every counter the lane pipeline must agree on with the reference (the
 /// lane_* cells describe the lane pipeline itself and are excluded).
 void expect_stats_equal(const RefHarness& ref, const VecHarness& vec) {
@@ -87,35 +93,12 @@ void expect_stats_equal(const RefHarness& ref, const VecHarness& vec) {
   EXPECT_EQ(ws.fast_path_skips, wv.fast_path_skips);
   EXPECT_EQ(ws.inflow_consumed, wv.inflow_consumed);
 
-  const TrackerStats& ts = ref.worker->tracker_stats();
-  const TrackerStats& tv = vec.worker->tracker_stats();
-  EXPECT_EQ(ts.syn_seen, tv.syn_seen);
-  EXPECT_EQ(ts.syn_retransmissions, tv.syn_retransmissions);
-  EXPECT_EQ(ts.synack_seen, tv.synack_seen);
-  EXPECT_EQ(ts.synack_unmatched, tv.synack_unmatched);
-  EXPECT_EQ(ts.ack_matched, tv.ack_matched);
-  EXPECT_EQ(ts.rst_seen, tv.rst_seen);
-  EXPECT_EQ(ts.samples_emitted, tv.samples_emitted);
-  EXPECT_EQ(ts.table_drops, tv.table_drops);
-
-  const InflowStats& is = ref.worker->tracker().inflow_stats();
-  const InflowStats& iv = vec.worker->tracker().inflow_stats();
-  EXPECT_EQ(is.ts_matches, iv.ts_matches);
-  EXPECT_EQ(is.ts_ring_evictions, iv.ts_ring_evictions);
-  EXPECT_EQ(is.ts_wraps, iv.ts_wraps);
-  EXPECT_EQ(is.inflow_samples, iv.inflow_samples);
-  EXPECT_EQ(is.one_sided_samples, iv.one_sided_samples);
-  EXPECT_EQ(is.rate_limited, iv.rate_limited);
-
-  const FlowTableStats& fs = ref.worker->tracker().table().stats();
-  const FlowTableStats& fv = vec.worker->tracker().table().stats();
-  EXPECT_EQ(fs.inserts, fv.inserts);
-  EXPECT_EQ(fs.hits, fv.hits);
-  EXPECT_EQ(fs.evictions_stale, fv.evictions_stale);
-  EXPECT_EQ(fs.insert_failures, fv.insert_failures);
-  EXPECT_EQ(fs.erases, fv.erases);
-  EXPECT_EQ(fs.tag_mismatches, fv.tag_mismatches);
-  EXPECT_EQ(fs.sweep_evictions, fv.sweep_evictions);
+  expect_cells_equal(ref.worker->tracker_stats(), vec.worker->tracker_stats(),
+                     kTrackerStatFields);
+  expect_cells_equal(ref.worker->tracker().inflow_stats(), vec.worker->tracker().inflow_stats(),
+                     kInflowStatFields);
+  expect_cells_equal(ref.worker->tracker().table().stats(), vec.worker->tracker().table().stats(),
+                     kFlowTableStatFields);
 
   EXPECT_EQ(ref.worker->tracker().table().size(), vec.worker->tracker().table().size());
 }
