@@ -1,5 +1,6 @@
 #include "core/pipeline.hpp"
 
+#include <algorithm>
 #include <array>
 #include <stdexcept>
 #include <string>
@@ -11,6 +12,16 @@
 #include "util/logging.hpp"
 
 namespace ruru {
+
+Status check_pin_list(const PipelineConfig& config) {
+  const std::size_t workers = config.num_queues, pins = config.pin_cpus.size();
+  // The enrichment pool runs at least one thread.
+  const std::size_t enrichers = std::max<std::size_t>(config.enrichment_threads, 1);
+  if (pins == 0 || pins == workers || (pins > workers && pins - workers == enrichers)) return {};
+  return make_error("pin_cpus must list one CPU per worker (" + std::to_string(workers) +
+                    ") or per worker + enrichment thread (" + std::to_string(workers) + " + " +
+                    std::to_string(enrichers) + "), got " + std::to_string(pins));
+}
 
 RuruPipeline::RuruPipeline(PipelineConfig config, const GeoDatabase& geo, const AsDatabase& as,
                            const Geo6Database* geo6)
@@ -24,20 +35,9 @@ RuruPipeline::RuruPipeline(PipelineConfig config, const GeoDatabase& geo, const 
       // never share a ring cursor.
       bus_(4096, config.num_queues),
       tsdb_(TsdbOptions{config.tsdb_shards, config.tsdb_chunk_points}) {
-  // Topology validation: a pin list must cover exactly the workers, or
-  // the workers plus the enrichment threads.  (A wrong-length list is a
-  // config bug — silently pinning the wrong threads would be worse than
-  // failing loudly.)
-  const std::size_t enrichers =
-      config_.enrichment_threads == 0 ? 1 : config_.enrichment_threads;
-  if (!config_.pin_cpus.empty() && config_.pin_cpus.size() != config_.num_queues &&
-      config_.pin_cpus.size() != config_.num_queues + enrichers) {
-    throw std::invalid_argument(
-        "pin_cpus must be empty, num_queues long, or num_queues + enrichment_threads long (got " +
-        std::to_string(config_.pin_cpus.size()) + " pins for " +
-        std::to_string(config_.num_queues) + " workers + " + std::to_string(enrichers) +
-        " enrichers)");
-  }
+  // A wrong-length pin list is a config bug: silently pinning the wrong
+  // threads would be worse than failing loudly.
+  if (Status pins = check_pin_list(config_); !pins) throw std::invalid_argument(pins.error());
   // Flight recorder first: stages constructed below take handles into
   // its rings.  With sample_n == 0 (or -DRURU_TRACE=0) every handle is
   // inert and the NIC never stamps.

@@ -39,6 +39,7 @@
 #include "obs/trace.hpp"
 #include "obs/watchdog.hpp"
 #include "tsdb/query.hpp"
+#include "util/result.hpp"
 #include "viz/arc_aggregator.hpp"
 
 namespace ruru {
@@ -84,12 +85,9 @@ struct PipelineConfig {
 
   // --- multi-core topology ---
   /// CPU pins for the pipeline's threads (best-effort Linux affinity;
-  /// see LcoreLauncher). Empty = every thread runs unpinned. Otherwise
-  /// the list must carry either `num_queues` entries (one per worker
-  /// lcore, in queue order) or `num_queues + enrichment_threads`
-  /// entries (workers first, then enrichment threads) — any other
-  /// length is a topology error the constructor rejects.  kNoCpuPin
-  /// (-1) leaves an individual slot unpinned.
+  /// see LcoreLauncher): workers in queue order, then enrichment
+  /// threads (lengths: check_pin_list).  Empty = every thread runs
+  /// unpinned; kNoCpuPin (-1) leaves an individual slot unpinned.
   std::vector<int> pin_cpus;
 
   // --- bus / analytics ---
@@ -175,6 +173,10 @@ struct PipelineConfig {
   Duration watchdog_interval = Duration::from_sec(1.0);
   Duration watchdog_stall_after = Duration::from_sec(5.0);
 };
+
+/// `pin_cpus` is empty, or lists one CPU per worker, or one per worker
+/// and enrichment thread.  The config parser and RuruPipeline apply it.
+[[nodiscard]] Status check_pin_list(const PipelineConfig& config);
 
 struct PipelineSummary;
 

@@ -4,11 +4,38 @@
 
 #include <unistd.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <filesystem>
+#include <limits>
+#include <map>
+#include <set>
 
 namespace ruru {
 namespace {
+
+/// "[section]\nleaf = value\n" for the dotted key `name`.
+std::string key_line(std::string_view name, const std::string& value) {
+  const std::size_t dot = name.find('.');
+  return "[" + std::string(name.substr(0, dot)) + "]\n" + std::string(name.substr(dot + 1)) +
+         " = " + value + "\n";
+}
+
+std::string exact(double v) {
+  if (std::isinf(v)) return v > 0 ? "inf" : "-inf";
+  char buf[40];
+  std::snprintf(buf, sizeof buf, "%.17g", v);
+  return buf;
+}
+
+void expect_rejected_naming(const std::string& text, std::string_view key,
+                            const std::string& value) {
+  const auto r = pipeline_config_from_text(text);
+  ASSERT_FALSE(r.ok()) << text;
+  EXPECT_NE(r.error().find(std::string(key)), std::string::npos) << r.error();
+  EXPECT_NE(r.error().find("'" + value + "'"), std::string::npos) << r.error();
+}
 
 TEST(ConfigParse, FlatAndSectionedKeys) {
   const auto r = parse_config_text(
@@ -306,9 +333,11 @@ TEST(PipelineConfigFile, EmptyTextYieldsDefaults) {
 
 TEST(PipelineConfigFile, TopologyKeys) {
   const auto r = pipeline_config_from_text(
+      "[capture]\n"
+      "queues = 4\n"
+      "[analytics]\n"
+      "threads = 2\n"
       "[topology]\n"
-      "workers = 4\n"
-      "enrichers = 2\n"
       "pin_cpus = 0, 1, -1, 3, 4, 5\n");
   ASSERT_TRUE(r.ok()) << r.error();
   // Workers and RX queues are 1:1 (one flow table per queue).
@@ -319,9 +348,11 @@ TEST(PipelineConfigFile, TopologyKeys) {
 
 TEST(PipelineConfigFile, PinListMayCoverWorkersOnly) {
   const auto r = pipeline_config_from_text(
+      "[capture]\n"
+      "queues = 2\n"
+      "[analytics]\n"
+      "threads = 2\n"
       "[topology]\n"
-      "workers = 2\n"
-      "enrichers = 2\n"
       "pin_cpus = 0,1\n");  // workers pinned, enrichers roam
   ASSERT_TRUE(r.ok()) << r.error();
   EXPECT_EQ(r.value().pin_cpus.size(), 2u);
@@ -329,9 +360,11 @@ TEST(PipelineConfigFile, PinListMayCoverWorkersOnly) {
 
 TEST(PipelineConfigFile, PinListLengthMismatchRejected) {
   const auto r = pipeline_config_from_text(
+      "[capture]\n"
+      "queues = 4\n"
+      "[analytics]\n"
+      "threads = 2\n"
       "[topology]\n"
-      "workers = 4\n"
-      "enrichers = 2\n"
       "pin_cpus = 0,1,2\n");  // neither 4 (workers) nor 6 (workers+enrichers)
   ASSERT_FALSE(r.ok());
   EXPECT_NE(r.error().find("pin_cpus"), std::string::npos);
@@ -380,6 +413,182 @@ TEST(PipelineConfigFile, WatchdogKeys) {
       pipeline_config_from_text("[obs]\nwatchdog = on\nwatchdog_stall_s = -1\n").ok());
   // The same zeros with the watchdog off never run: accepted.
   EXPECT_TRUE(pipeline_config_from_text("[obs]\nwatchdog_interval_s = 0\n").ok());
+}
+
+TEST(PipelineConfigFile, KeyCatalogue) {
+  std::vector<std::string> names;
+  for (const ConfigKey& key : config_keys()) names.emplace_back(key.name);
+  std::sort(names.begin(), names.end());
+  const std::vector<std::string> expected = {
+      "analytics.threads",
+      "bus.batch",
+      "bus.batch_linger_s",
+      "bus.hwm",
+      "capture.inject_burst",
+      "capture.mbuf_size",
+      "capture.mempool",
+      "capture.queue_depth",
+      "capture.queues",
+      "capture.symmetric_rss",
+      "detectors.conncount",
+      "detectors.ewma",
+      "detectors.ewma_k_sigma",
+      "detectors.periodic",
+      "detectors.periodic_bucket_s",
+      "detectors.periodic_period_s",
+      "detectors.synflood",
+      "detectors.synflood_min_syns",
+      "detectors.synflood_window_s",
+      "flow.fast_path",
+      "flow.inflow_min_interval_us",
+      "flow.inflow_rtt",
+      "flow.prefetch_depth",
+      "flow.probe_window",
+      "flow.stale_after_s",
+      "flow.table_capacity",
+      "flow.ts_ring_entries",
+      "meter.enabled",
+      "meter.window_s",
+      "obs.enabled",
+      "obs.interval_s",
+      "obs.json_path",
+      "obs.prometheus_path",
+      "obs.self_ingest",
+      "obs.trace_json_path",
+      "obs.trace_ring",
+      "obs.trace_sample_n",
+      "obs.transit_sample_every",
+      "obs.watchdog",
+      "obs.watchdog_interval_s",
+      "obs.watchdog_stall_s",
+      "storage.downsample_stat",
+      "storage.downsample_window_s",
+      "storage.per_sample",
+      "storage.retention_s",
+      "storage.tsdb_chunk_points",
+      "storage.tsdb_shards",
+      "topology.pin_cpus",
+  };
+  EXPECT_EQ(names, expected);
+
+  // No alias keys: each row writes a field no other row writes.
+  const PipelineConfig defaults;
+  std::set<const void*> fields;
+  for (const ConfigKey& key : config_keys()) {
+    EXPECT_TRUE(fields.insert(key.field.at(defaults)).second) << key.name;
+  }
+
+  // Every bounded key with its [min, max] as an operator writes them
+  // (ewma_k_sigma's range is (0, inf): its minimum is the smallest double
+  // above 0).  Both limits are accepted and land in the field; one step
+  // past either is rejected, naming the key and the value.
+  const std::map<std::string, std::pair<std::string, std::string>> bounds = {
+      {"analytics.threads", {"1", "18446744073709551615"}},
+      {"bus.batch", {"1", "18446744073709551615"}},
+      {"bus.hwm", {"0", "2147483648"}},
+      {"capture.inject_burst", {"1", "18446744073709551615"}},
+      {"capture.mbuf_size", {"0", "18446744073709551615"}},
+      {"capture.mempool", {"0", "18446744073709551615"}},
+      {"capture.queue_depth", {"0", "2147483648"}},
+      {"capture.queues", {"1", "65535"}},
+      {"detectors.ewma_k_sigma", {"4.9406564584124654e-324", "1.7976931348623157e+308"}},
+      {"detectors.synflood_min_syns", {"0", "18446744073709551615"}},
+      {"flow.inflow_min_interval_us", {"0", "60000000"}},
+      {"flow.prefetch_depth", {"0", "4"}},
+      {"flow.probe_window", {"16", "2147483648"}},
+      {"flow.table_capacity", {"0", "2147483648"}},
+      {"flow.ts_ring_entries", {"2", "64"}},
+      {"obs.trace_ring", {"0", "2147483648"}},
+      {"obs.trace_sample_n", {"0", "4294967295"}},
+      {"obs.transit_sample_every", {"0", "4294967295"}},
+      {"storage.tsdb_chunk_points", {"1", "4294967295"}},
+      {"storage.tsdb_shards", {"1", "256"}},
+  };
+  std::set<std::string> bounded;
+  for (const ConfigKey& key : config_keys()) {
+    if (key.field.number != nullptr) bounded.insert(key.name);
+  }
+  std::set<std::string> pinned;
+  for (const auto& [name, limits] : bounds) pinned.insert(name);
+  EXPECT_EQ(bounded, pinned);
+
+  // One step from `limit` towards `dir` (-1 or +1), as text.
+  const auto step = [](const std::string& limit, int dir) -> std::string {
+    constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+    if (limit.find_first_not_of("0123456789") == std::string::npos) {
+      const std::uint64_t v = std::stoull(limit);
+      if (dir < 0) return v == 0 ? "-1" : std::to_string(v - 1);
+      return v == kMax ? "18446744073709551616" : std::to_string(v + 1);
+    }
+    const double inf = std::numeric_limits<double>::infinity();
+    return exact(std::nextafter(std::strtod(limit.c_str(), nullptr), dir * inf));
+  };
+  for (const auto& [name, limits] : bounds) {
+    SCOPED_TRACE(name);
+    const ConfigKey* key = nullptr;
+    for (const ConfigKey& k : config_keys()) {
+      if (name == k.name) key = &k;
+    }
+    ASSERT_NE(key, nullptr);
+    // The probe window must fit the table: the widest window needs the
+    // largest table, the smallest table the narrowest window.
+    std::string context;
+    if (name == "flow.probe_window") context = "[flow]\ntable_capacity = 2147483648\n";
+    if (name == "flow.table_capacity") context = "[flow]\nprobe_window = 16\n";
+    for (const std::string& limit : {limits.first, limits.second}) {
+      const auto r = pipeline_config_from_text(context + key_line(name, limit));
+      ASSERT_TRUE(r.ok()) << name << " = " << limit << ": " << r.error();
+      EXPECT_EQ(key->field.number(r.value()), std::strtod(limit.c_str(), nullptr));
+    }
+    expect_rejected_naming(key_line(name, step(limits.first, -1)), name, step(limits.first, -1));
+    expect_rejected_naming(key_line(name, step(limits.second, 1)), name, step(limits.second, 1));
+  }
+}
+
+// Ring-backed sizes round up to a power of two; past rte_ring's 2^31
+// limit that rounding overflowed and spun forever.
+void expect_huge_size_rejected(std::string_view key) {
+  expect_rejected_naming(key_line(key, "9223372036854775809"), key, "9223372036854775809");
+  expect_rejected_naming(key_line(key, "2147483649"), key, "2147483649");
+  EXPECT_TRUE(pipeline_config_from_text(key_line(key, "2147483648")).ok()) << key;
+}
+
+TEST(PipelineConfigFile, HugeQueueDepthRejected) {
+  expect_huge_size_rejected("capture.queue_depth");
+}
+
+TEST(PipelineConfigFile, HugeTableCapacityRejected) {
+  expect_huge_size_rejected("flow.table_capacity");
+}
+
+TEST(PipelineConfigFile, HugeBusHwmRejected) { expect_huge_size_rejected("bus.hwm"); }
+
+TEST(PipelineConfigFile, HugeTraceRingRejected) { expect_huge_size_rejected("obs.trace_ring"); }
+
+TEST(PipelineConfigFile, NoAliasTopologyKeys) {
+  // Workers are set by capture.queues and enrichers by analytics.threads
+  // alone: a second key for the same field would silently override it.
+  for (const char* alias : {"workers", "enrichers"}) {
+    const auto r = pipeline_config_from_text(
+        "[capture]\nqueues = 8\n[analytics]\nthreads = 4\n[topology]\n" + std::string(alias) +
+        " = 2\n");
+    ASSERT_FALSE(r.ok()) << alias;
+    EXPECT_NE(r.error().find("unknown key 'topology." + std::string(alias) + "'"),
+              std::string::npos)
+        << r.error();
+  }
+}
+
+TEST(PipelineConfigFile, EwmaKSigmaMustBeFinitePositive) {
+  // NaN never crosses the threshold (the detector is silently off); a
+  // threshold <= 0 alerts on every sample after warmup.
+  for (const char* bad : {"nan", "inf", "-inf", "-3", "0"}) {
+    expect_rejected_naming("[detectors]\newma_k_sigma = " + std::string(bad) + "\n",
+                           "detectors.ewma_k_sigma", bad);
+  }
+  const auto r = pipeline_config_from_text("[detectors]\newma_k_sigma = 2.5\n");
+  ASSERT_TRUE(r.ok()) << r.error();
+  EXPECT_EQ(r.value().ewma.k_sigma, 2.5);
 }
 
 }  // namespace

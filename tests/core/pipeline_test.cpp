@@ -3,10 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <stdexcept>
 
 #include "analytics/filter.hpp"
 #include "anomaly/alert_codec.hpp"
 #include "capture/scenarios.hpp"
+#include "core/config_file.hpp"
 #include "core/replay.hpp"
 #include "geo/world.hpp"
 #include "net/packet_builder.hpp"
@@ -272,6 +274,29 @@ TEST_F(PipelineTest, StoragePolicyDownsamplesAndAgesOutRaw) {
   EXPECT_LT(all_raw.count, pipeline.summary().enriched);  // most raw aged out
   // Link series survive retention (not in the raw-only list).
   EXPECT_GT(pipeline.tsdb().aggregate("link_pps", TagSet{}, Timestamp{}, everything).count, 1u);
+}
+
+TEST_F(PipelineTest, ConstructorAppliesThePinListRule) {
+  PipelineConfig cfg = small_config();  // 2 workers, 2 enrichment threads
+  cfg.pin_cpus = {0, 0, 0};
+  const Status rule = check_pin_list(cfg);
+  ASSERT_FALSE(rule.ok());
+  try {
+    RuruPipeline pipeline(cfg, world_.geo, world_.as);
+    ADD_FAILURE() << "a 3-CPU pin list for 2 + 2 threads was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_EQ(e.what(), rule.error());
+  }
+  // The config file reports the same rule.
+  const auto parsed = pipeline_config_from_text(
+      "[capture]\nqueues = 2\n[analytics]\nthreads = 2\n[topology]\npin_cpus = 0,0,0\n");
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_NE(parsed.error().find(rule.error()), std::string::npos) << parsed.error();
+
+  // A pool asked for no threads runs one, so 2 + 1 pins cover everything.
+  cfg.enrichment_threads = 0;
+  EXPECT_TRUE(check_pin_list(cfg).ok());
+  EXPECT_NO_THROW(RuruPipeline(cfg, world_.geo, world_.as));
 }
 
 TEST_F(PipelineTest, QueueCountIsRespected) {

@@ -13,11 +13,14 @@
 # them, and then asserts end-to-end that a metrics-enabled pipeline run
 # self-ingests "ruru.self.*" series into its own TSDB.
 #
-# The `enrich` mode gates the allocation-free enrichment fast path: the
-# geo + analytics suites (interner arena, SoA range DBs with untrusted
-# loaders, set-associative flat cache, batch enrichment) built with ASan
-# AND UBSan together — the path is raw-pointer-heavy by design, so both
-# heap misuse and UB must abort the run.
+# The `enrich` mode gates the allocation-free enrichment fast path and
+# the operator-file loaders: the geo + analytics suites (interner arena,
+# SoA range DBs with untrusted loaders, set-associative flat cache, batch
+# enrichment) plus the config-file suites from test_core (key table,
+# range checks, the ConfigFuzz mutation driver) built with ASan AND
+# UBSan together — the path is raw-pointer-heavy by design and the
+# loaders parse hostile bytes, so both heap misuse and UB must abort the
+# run.
 #
 # The `flow` mode gates the SIMD group-probed flow table: the flow
 # suites (control-byte kernels, probe core, batched tracking, fuzz
@@ -104,14 +107,15 @@ fi
 if [ "$SAN" = "enrich" ]; then
   # Enrichment gate: geo DB loaders fed truncated/hostile files, the
   # interner's lock-free read path, flat-cache eviction and the
-  # zero-allocation batch proof, all under ASan+UBSan in one build.
+  # zero-allocation batch proof, plus the config-file parser and its
+  # mutation driver, all under ASan+UBSan in one build.
   BUILD="$ROOT/build-enrich"
   cmake -B "$BUILD" -S "$ROOT" -DRURU_SANITIZE=address+undefined \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo
-  cmake --build "$BUILD" -j"$JOBS" --target test_geo test_analytics
+  cmake --build "$BUILD" -j"$JOBS" --target test_geo test_analytics test_core
   (cd "$BUILD" && ctest --output-on-failure -j"$JOBS" \
-    -R 'GeoDb|AsDb|Geo6Db|World|StringInterner|FlatCache|DbLoaderRobustness|Enricher|ZeroAlloc|Aggregator|SampleFilter|FilterChain|Pool')
-  echo "enrich gate OK: fast path ASan+UBSan-clean"
+    -R 'GeoDb|AsDb|Geo6Db|World|StringInterner|FlatCache|DbLoaderRobustness|Enricher|ZeroAlloc|Aggregator|SampleFilter|FilterChain|Pool|ConfigParse|PipelineConfigFile|ConfigFuzz')
+  echo "enrich gate OK: fast path and config loaders ASan+UBSan-clean"
   exit 0
 fi
 
