@@ -1,8 +1,8 @@
 // E9 / §2 — the ZeroMQ role: zero-copy pub/sub between pipeline stages.
 //
 // Reports in-proc publish throughput vs payload size and subscriber
-// count, the HWM drop behaviour under an absent consumer (the publisher
-// must never block), and loopback TCP transport throughput.
+// count, and the HWM drop behaviour under an absent consumer (the
+// publisher must never block).
 
 #include <benchmark/benchmark.h>
 
@@ -10,7 +10,6 @@
 
 #include "msg/codec.hpp"
 #include "msg/pubsub.hpp"
-#include "msg/tcp_transport.hpp"
 
 namespace {
 
@@ -193,47 +192,6 @@ BENCHMARK(BM_LatencyFeedPublish)
     ->Arg(128)
     ->ArgName("batch")
     ->UseRealTime();
-
-// Loopback TCP transport: serialize + send + receive round.
-void BM_TcpTransportLoopback(benchmark::State& state) {
-  const auto payload = static_cast<std::size_t>(state.range(0));
-  TcpBusServer server;
-  if (!server.bind(0).ok()) {
-    state.SkipWithError("bind failed");
-    return;
-  }
-  auto client = TcpBusClient::connect("127.0.0.1", server.port());
-  if (!client.ok()) {
-    state.SkipWithError("connect failed");
-    return;
-  }
-  while (server.client_count() < 1) std::this_thread::yield();
-
-  std::atomic<std::uint64_t> received{0};
-  std::atomic<bool> done{false};
-  std::thread consumer([&] {
-    while (!done.load(std::memory_order_acquire)) {
-      if (client.value().recv()) {
-        received.fetch_add(1, std::memory_order_relaxed);
-      } else {
-        break;
-      }
-    }
-  });
-
-  const Message msg = make_message(payload);
-  for (auto _ : state) {
-    server.publish(msg);
-  }
-  done.store(true);
-  server.close();  // unblocks the consumer
-  consumer.join();
-
-  state.SetItemsProcessed(state.iterations());
-  state.SetBytesProcessed(state.iterations() * static_cast<std::int64_t>(payload));
-  state.counters["received"] = static_cast<double>(received.load());
-}
-BENCHMARK(BM_TcpTransportLoopback)->Arg(68)->Arg(512)->Arg(4096)->ArgName("payload");
 
 }  // namespace
 

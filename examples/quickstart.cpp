@@ -12,8 +12,7 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "core/pipeline.hpp"
-#include "core/replay.hpp"
+#include "core/ruru.hpp"
 #include "example_util.hpp"
 
 int main(int argc, char** argv) {

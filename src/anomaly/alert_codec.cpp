@@ -1,5 +1,6 @@
 #include "anomaly/alert_codec.hpp"
 
+#include <cmath>
 #include <cstdlib>
 
 #include "util/json_writer.hpp"
@@ -45,6 +46,11 @@ std::optional<std::string> get_string(const std::string& doc, const std::string&
         case 'n': out += '\n'; break;
         case 't': out += '\t'; break;
         case 'r': out += '\r'; break;
+        case 'u':  // JsonWriter escapes other control bytes as u + 4 hex digits
+          if (i + 4 >= doc.size()) return std::nullopt;
+          out += static_cast<char>(std::strtoul(doc.substr(i + 1, 4).c_str(), nullptr, 16));
+          i += 4;
+          break;
         default: out += n;
       }
       continue;
@@ -72,8 +78,12 @@ std::optional<Alert> decode_alert(const Frame& payload) {
   const auto t = get_number(doc, "t");
   const auto score = get_number(doc, "score");
   if (!kind || !t) return std::nullopt;
+  // Rejects NaN, infinities and times past int64 nanoseconds; rounding
+  // (not truncating) lets an encoded time decode to the same value.
+  const double ns = *t * 1e9;
+  if (!(ns >= -0x1p63 && ns < 0x1p63)) return std::nullopt;
   Alert a;
-  a.time = Timestamp::from_sec(*t);
+  a.time = Timestamp{std::llround(ns)};
   a.kind = *kind;
   a.subject = subject.value_or("");
   a.detail = detail.value_or("");

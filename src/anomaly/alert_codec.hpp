@@ -16,7 +16,8 @@ inline constexpr std::string_view kAlertTopic = "ruru.alerts";
 [[nodiscard]] Message encode_alert(const Alert& alert);
 
 /// Parses a payload produced by encode_alert (field-order dependent —
-/// intended for round-trip within one Ruru version).
+/// intended for round-trip within one Ruru version).  Rejects a time
+/// that is not finite or does not fit int64 nanoseconds.
 [[nodiscard]] std::optional<Alert> decode_alert(const Frame& payload);
 
 }  // namespace ruru

@@ -267,12 +267,6 @@ class RuruPipeline {
   [[nodiscard]] const obs::MetricsRegistry& metrics() const { return metrics_; }
   [[nodiscard]] obs::MetricsRegistry& metrics() { return metrics_; }
 
-  /// Attach an extra exporter to the snapshot thread. Call before
-  /// start(); no-op unless config.metrics_enabled.
-  void add_metrics_exporter(std::shared_ptr<obs::MetricsExporter> exporter) {
-    if (snapshot_timer_) snapshot_timer_->add_exporter(std::move(exporter));
-  }
-
   /// The flight recorder (rings + exporter).  Snapshot/export any time;
   /// inert when config.trace_sample_n == 0.
   [[nodiscard]] const obs::Tracer& tracer() const { return tracer_; }

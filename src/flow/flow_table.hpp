@@ -288,8 +288,7 @@ class FlowTable {
   [[nodiscard]] Timestamp last_seen(Slot slot) const { return Timestamp{last_seen_[slot]}; }
   void touch(Slot slot, Timestamp now) { last_seen_[slot] = now.ns; }
 
-  // --- in-flow timestamp rings (valid only when ts_enabled()) ---
-  [[nodiscard]] bool ts_enabled() const { return ts_entries_ != 0; }
+  // --- in-flow timestamp rings (valid only when ts_ring_entries() != 0) ---
   [[nodiscard]] std::size_t ts_ring_entries() const { return ts_entries_; }
   /// `dir`: 0 = canonical direction's notes, 1 = reverse's.  SoA lanes:
   /// both directions' vals sit contiguously per slot (one cache line for

@@ -10,9 +10,9 @@ namespace ruru {
 
 namespace {
 
-/// Exact replica of TimeSeriesDb::summarize.  Sorting first makes the
-/// result independent of collection order, which is what lets the
-/// compressed engine match the uncompressed oracle bit for bit.
+/// Sorting first makes the result independent of collection order,
+/// which is what lets the compressed engine match the uncompressed
+/// oracle (tests/tsdb/legacy_tsdb.cpp) bit for bit.
 AggregateResult summarize(std::vector<double>& values) {
   AggregateResult r;
   if (values.empty()) return r;

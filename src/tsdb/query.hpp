@@ -18,10 +18,10 @@
 // Query model
 //   aggregate / window_aggregate / group_by / downsample iterate the
 //   compressed chunks directly (decode-on-scan; no materialized
-//   vector<double> per series) and reproduce the legacy TimeSeriesDb
-//   results exactly: summarize() sorts before accumulating, so results
-//   are independent of decode order and the uncompressed store doubles
-//   as a bit-for-bit oracle in the parity suite.
+//   vector<double> per series).  summarize() sorts before accumulating,
+//   so results are independent of decode order, and the uncompressed
+//   legacy store in tests/tsdb/legacy_tsdb.hpp serves as a bit-for-bit
+//   oracle in the parity suite.
 
 #include <atomic>
 #include <cstdint>
@@ -89,7 +89,10 @@ class TsdbEngine {
                                                   const TagSet& filter, Timestamp t0,
                                                   Timestamp t1) const;
 
-  /// Continuous-query rollup: same contract as TimeSeriesDb::downsample.
+  /// Continuous-query rollup: aggregates `src` into `window`-wide
+  /// buckets per series (tags preserved) and writes `stat` ("mean"|
+  /// "median"|"min"|"max"|"count"|"p99") of each bucket into `dst` at
+  /// the bucket start time.  Returns points written.
   std::size_t downsample(const std::string& src, const std::string& dst, Duration window,
                          const std::string& stat = "mean");
 

@@ -26,8 +26,6 @@
 
 namespace ruru {
 
-class TagSet;
-class TimeSeriesDb;
 class TsdbEngine;
 
 class Wal {
@@ -37,13 +35,11 @@ class Wal {
   Wal(Wal&& other) noexcept;
   Wal& operator=(Wal&& other) noexcept;
 
-  /// Primitive append: callers that already hold the canonical
-  /// "k1=v1,..." tag form (the engine's series index does) pay no
-  /// string building here.  Thread-safe: one buffered fwrite per record.
+  /// Appends one point under its canonical "k1=v1,..." tag form, which
+  /// the engine's series index already holds, so no string is built
+  /// here.  Thread-safe: one buffered fwrite per record.
   void append(std::string_view measurement, std::string_view canonical_tags, Timestamp time,
               double value);
-
-  void append(const std::string& measurement, const TagSet& tags, Timestamp time, double value);
 
   /// Flush buffered records to the OS.
   void sync();
@@ -54,7 +50,6 @@ class Wal {
 
   /// Replays `path`. Returns records applied; recovery truncates at the
   /// first torn or corrupt record (crash semantics).
-  static Result<std::uint64_t> replay(const std::string& path, TimeSeriesDb& db);
   static Result<std::uint64_t> replay(const std::string& path, TsdbEngine& db);
 
  private:

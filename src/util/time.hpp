@@ -30,7 +30,6 @@ struct Timestamp {
 
   [[nodiscard]] constexpr double to_sec() const { return static_cast<double>(ns) / 1e9; }
   [[nodiscard]] constexpr double to_ms() const { return static_cast<double>(ns) / 1e6; }
-  [[nodiscard]] constexpr std::int64_t to_us() const { return ns / 1'000; }
 };
 
 /// A signed span of time in nanoseconds.

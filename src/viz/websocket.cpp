@@ -168,6 +168,7 @@ std::optional<WsFrame> ws_decode_frame(std::span<const std::uint8_t> data) {
   } else if (len == 127) {
     if (data.size() < 10) return std::nullopt;
     len = load_be64(&data[2]);
+    if ((len >> 63) != 0) return std::nullopt;  // RFC 6455 §5.2: top bit must be 0
     pos = 10;
   }
   std::array<std::uint8_t, 4> mask{};
@@ -176,7 +177,7 @@ std::optional<WsFrame> ws_decode_frame(std::span<const std::uint8_t> data) {
     std::memcpy(mask.data(), &data[pos], 4);
     pos += 4;
   }
-  if (data.size() < pos + len) return std::nullopt;
+  if (len > data.size() - pos) return std::nullopt;  // pos + len could wrap
   frame.payload.assign(data.begin() + static_cast<std::ptrdiff_t>(pos),
                        data.begin() + static_cast<std::ptrdiff_t>(pos + len));
   if (masked) {

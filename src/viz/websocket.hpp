@@ -52,7 +52,8 @@ struct WsFrame {
 };
 
 /// Decodes one frame from `data` (either direction; unmasks if needed).
-/// Returns nullopt when `data` does not yet hold a complete frame.
+/// Returns nullopt when `data` does not yet hold a complete frame, or
+/// when a 64-bit length has its top bit set (RFC 6455 §5.2).
 [[nodiscard]] std::optional<WsFrame> ws_decode_frame(std::span<const std::uint8_t> data);
 
 }  // namespace ruru

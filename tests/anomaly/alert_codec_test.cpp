@@ -45,6 +45,29 @@ TEST(AlertCodec, RoundTripWithEscapedCharacters) {
   EXPECT_EQ(d->detail, a.detail);
 }
 
+TEST(AlertCodec, RoundTripWithControlBytes) {
+  Alert a = sample_alert();
+  a.subject = std::string("ctl\x01\x1f", 5);  // JsonWriter escapes these as u + 4 hex
+  const auto d = decode_alert(encode_alert(a).frames[1]);
+  ASSERT_TRUE(d.has_value());
+  EXPECT_EQ(d->subject, a.subject);
+}
+
+TEST(AlertCodec, DecodeRejectsHugeTime) {
+  // 1e300 s is far past int64 nanoseconds; the cast used to be UB.
+  EXPECT_FALSE(
+      decode_alert(Frame::from_string(R"({"type":"alert","t":1e300,"kind":"x"})")).has_value());
+  EXPECT_FALSE(
+      decode_alert(Frame::from_string(R"({"type":"alert","t":-1e300,"kind":"x"})")).has_value());
+}
+
+TEST(AlertCodec, DecodeRejectsNanTime) {
+  EXPECT_FALSE(
+      decode_alert(Frame::from_string(R"({"type":"alert","t":nan,"kind":"x"})")).has_value());
+  EXPECT_FALSE(
+      decode_alert(Frame::from_string(R"({"type":"alert","t":inf,"kind":"x"})")).has_value());
+}
+
 TEST(AlertCodec, DecodeRejectsGarbage) {
   EXPECT_FALSE(decode_alert(Frame::from_string("not json")).has_value());
   EXPECT_FALSE(decode_alert(Frame::from_string("{}")).has_value());

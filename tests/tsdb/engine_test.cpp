@@ -13,7 +13,7 @@
 #include <string>
 #include <vector>
 
-#include "tsdb/tsdb.hpp"
+#include "tsdb/legacy_tsdb.hpp"
 #include "util/random.hpp"
 
 namespace ruru {

@@ -1,3 +1,6 @@
+// TagSet semantics, then the query semantics every tag store must
+// share, each case run against TsdbEngine and the legacy oracle.
+
 #include "tsdb/tsdb.hpp"
 
 #include <gtest/gtest.h>
@@ -5,6 +8,7 @@
 #include <algorithm>
 #include <thread>
 
+#include "store_test.hpp"
 #include "util/random.hpp"
 
 namespace ruru {
@@ -38,8 +42,8 @@ TEST(TagSet, GetByKey) {
   EXPECT_FALSE(t.get("nope").has_value());
 }
 
-TEST(Tsdb, AggregateBasicStats) {
-  TimeSeriesDb db;
+STORE_TEST(Tsdb, AggregateBasicStats) {
+  Db db;
   const TagSet t = tags("Auckland", "Los Angeles");
   for (int i = 1; i <= 100; ++i) {
     db.write("total_ms", t, Timestamp::from_ms(i), static_cast<double>(i));
@@ -53,8 +57,8 @@ TEST(Tsdb, AggregateBasicStats) {
   EXPECT_NEAR(r.p95, 95.05, 0.01);
 }
 
-TEST(Tsdb, TimeRangeIsHalfOpen) {
-  TimeSeriesDb db;
+STORE_TEST(Tsdb, TimeRangeIsHalfOpen) {
+  Db db;
   const TagSet t = tags("A", "B");
   db.write("m", t, Timestamp::from_ms(10), 1.0);
   db.write("m", t, Timestamp::from_ms(20), 2.0);
@@ -62,8 +66,8 @@ TEST(Tsdb, TimeRangeIsHalfOpen) {
   EXPECT_EQ(r.count, 1u);  // [10, 20) excludes the second point
 }
 
-TEST(Tsdb, FilterByTags) {
-  TimeSeriesDb db;
+STORE_TEST(Tsdb, FilterByTags) {
+  Db db;
   db.write("m", tags("Auckland", "LA"), Timestamp::from_ms(1), 10.0);
   db.write("m", tags("Auckland", "London"), Timestamp::from_ms(2), 20.0);
   db.write("m", tags("Wellington", "LA"), Timestamp::from_ms(3), 30.0);
@@ -75,14 +79,14 @@ TEST(Tsdb, FilterByTags) {
   EXPECT_DOUBLE_EQ(r.max, 20.0);
 }
 
-TEST(Tsdb, UnknownMeasurementIsEmpty) {
-  TimeSeriesDb db;
+STORE_TEST(Tsdb, UnknownMeasurementIsEmpty) {
+  Db db;
   const auto r = db.aggregate("nope", TagSet{}, Timestamp{}, Timestamp::from_sec(1));
   EXPECT_EQ(r.count, 0u);
 }
 
-TEST(Tsdb, WindowAggregateBucketsByTime) {
-  TimeSeriesDb db;
+STORE_TEST(Tsdb, WindowAggregateBucketsByTime) {
+  Db db;
   const TagSet t = tags("A", "B");
   // 10 points per second for 5 seconds, value = second index.
   for (int sec = 0; sec < 5; ++sec) {
@@ -100,8 +104,8 @@ TEST(Tsdb, WindowAggregateBucketsByTime) {
   }
 }
 
-TEST(Tsdb, WindowAggregateSkipsEmptyWindows) {
-  TimeSeriesDb db;
+STORE_TEST(Tsdb, WindowAggregateSkipsEmptyWindows) {
+  Db db;
   const TagSet t = tags("A", "B");
   db.write("m", t, Timestamp::from_sec(0.5), 1.0);
   db.write("m", t, Timestamp::from_sec(3.5), 2.0);
@@ -112,15 +116,15 @@ TEST(Tsdb, WindowAggregateSkipsEmptyWindows) {
   EXPECT_EQ(windows[1].window_start.ns, Timestamp::from_sec(3).ns);
 }
 
-TEST(Tsdb, GroupByTagKey) {
-  TimeSeriesDb db;
+STORE_TEST(Tsdb, GroupByTagKey) {
+  Db db;
   db.write("m", tags("Auckland", "LA"), Timestamp::from_ms(1), 10.0);
   db.write("m", tags("Auckland", "LA"), Timestamp::from_ms(2), 20.0);
   db.write("m", tags("Wellington", "LA"), Timestamp::from_ms(3), 99.0);
 
   const auto groups = db.group_by("m", "src_city", TagSet{}, Timestamp{}, Timestamp::from_sec(1));
   ASSERT_EQ(groups.size(), 2u);
-  // Groups are sorted by tag value (std::map).
+  // Groups are sorted by tag value.
   EXPECT_EQ(groups[0].tag_value, "Auckland");
   EXPECT_EQ(groups[0].stats.count, 2u);
   EXPECT_DOUBLE_EQ(groups[0].stats.mean, 15.0);
@@ -128,8 +132,8 @@ TEST(Tsdb, GroupByTagKey) {
   EXPECT_DOUBLE_EQ(groups[1].stats.max, 99.0);
 }
 
-TEST(Tsdb, RetentionDropsOldPoints) {
-  TimeSeriesDb db;
+STORE_TEST(Tsdb, RetentionDropsOldPoints) {
+  Db db;
   const TagSet t = tags("A", "B");
   for (int i = 0; i < 100; ++i) db.write("m", t, Timestamp::from_sec(i), 1.0);
   const std::size_t dropped =
@@ -139,8 +143,8 @@ TEST(Tsdb, RetentionDropsOldPoints) {
   EXPECT_EQ(r.count, 30u);
 }
 
-TEST(Tsdb, ScopedRetentionSparesOtherMeasurements) {
-  TimeSeriesDb db;
+STORE_TEST(Tsdb, ScopedRetentionSparesOtherMeasurements) {
+  Db db;
   const TagSet t = tags("A", "B");
   for (int i = 0; i < 10; ++i) {
     db.write("raw", t, Timestamp::from_sec(i), 1.0);
@@ -154,16 +158,16 @@ TEST(Tsdb, ScopedRetentionSparesOtherMeasurements) {
             10u);
 }
 
-TEST(Tsdb, RetentionRemovesEmptySeries) {
-  TimeSeriesDb db;
+STORE_TEST(Tsdb, RetentionRemovesEmptySeries) {
+  Db db;
   db.write("m", tags("A", "B"), Timestamp::from_sec(1), 1.0);
   EXPECT_EQ(db.series_count(), 1u);
   db.enforce_retention(Timestamp::from_sec(100), Duration::from_sec(10.0));
   EXPECT_EQ(db.series_count(), 0u);
 }
 
-TEST(Tsdb, OutOfOrderWritesStillQueryCorrectly) {
-  TimeSeriesDb db;
+STORE_TEST(Tsdb, OutOfOrderWritesStillQueryCorrectly) {
+  Db db;
   const TagSet t = tags("A", "B");
   db.write("m", t, Timestamp::from_ms(100), 3.0);
   db.write("m", t, Timestamp::from_ms(50), 1.0);  // out of order
@@ -173,8 +177,8 @@ TEST(Tsdb, OutOfOrderWritesStillQueryCorrectly) {
   EXPECT_DOUBLE_EQ(r.min, 2.0);
 }
 
-TEST(Tsdb, StatsMatchBruteForceOnRandomData) {
-  TimeSeriesDb db;
+STORE_TEST(Tsdb, StatsMatchBruteForceOnRandomData) {
+  Db db;
   const TagSet t = tags("X", "Y");
   Pcg32 rng(2024);
   std::vector<double> in_range;
@@ -194,8 +198,8 @@ TEST(Tsdb, StatsMatchBruteForceOnRandomData) {
   EXPECT_NEAR(r.mean, sum / static_cast<double>(in_range.size()), 1e-9);
 }
 
-TEST(Tsdb, ConcurrentWritersAreSafe) {
-  TimeSeriesDb db;
+STORE_TEST(Tsdb, ConcurrentWritersAreSafe) {
+  Db db;
   std::vector<std::thread> writers;
   for (int w = 0; w < 4; ++w) {
     writers.emplace_back([&db, w] {

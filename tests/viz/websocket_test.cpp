@@ -112,6 +112,23 @@ TEST(WebSocket, IncompleteFramesReturnNullopt) {
   }
 }
 
+TEST(WebSocket, HugeLengthFieldsNeverWrap) {
+  // 64-bit length 2^64-1: pos + len wraps to 9, which once passed the
+  // completeness check and handed vector::assign a reversed range.
+  const std::vector<std::uint8_t> wrapping = {0x81, 0x7f, 0xff, 0xff, 0xff, 0xff,
+                                              0xff, 0xff, 0xff, 0xff, 0x61, 0x62};
+  EXPECT_FALSE(ws_decode_frame(wrapping).has_value());
+  // The largest legal length (top bit clear) is merely incomplete.
+  std::vector<std::uint8_t> legal = wrapping;
+  legal[2] = 0x7f;
+  EXPECT_FALSE(ws_decode_frame(legal).has_value());
+  // Masked: the mask key sits between the length and the payload.
+  std::vector<std::uint8_t> masked = wrapping;
+  masked[1] = 0xff;
+  masked.insert(masked.end(), {1, 2, 3, 4});
+  EXPECT_FALSE(ws_decode_frame(masked).has_value());
+}
+
 TEST(WebSocket, DecodeReportsConsumedBytesForStreamParsing) {
   auto wire = ws_encode_text("first");
   const auto second = ws_encode_text("second");

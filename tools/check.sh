@@ -14,13 +14,14 @@
 # self-ingests "ruru.self.*" series into its own TSDB.
 #
 # The `enrich` mode gates the allocation-free enrichment fast path and
-# the operator-file loaders: the geo + analytics suites (interner arena,
-# SoA range DBs with untrusted loaders, set-associative flat cache, batch
-# enrichment) plus the config-file suites from test_core (key table,
-# range checks, the ConfigFuzz mutation driver) built with ASan AND
-# UBSan together — the path is raw-pointer-heavy by design and the
-# loaders parse hostile bytes, so both heap misuse and UB must abort the
-# run.
+# the parsers of outside bytes: the geo + analytics suites (interner
+# arena, SoA range DBs with untrusted loaders, set-associative flat
+# cache, batch enrichment), the config-file suites from test_core (key
+# table, range checks, the ConfigFuzz mutation driver) and the decoder
+# mutation drivers (LatencyCodecFuzz, AlertCodecFuzz, WsFrameFuzz, with
+# the AlertCodec and WebSocket unit suites) built with ASan AND UBSan
+# together — the path is raw-pointer-heavy by design and the parsers
+# take hostile bytes, so both heap misuse and UB must abort the run.
 #
 # The `flow` mode gates the SIMD group-probed flow table: the flow
 # suites (control-byte kernels, probe core, batched tracking, fuzz
@@ -107,15 +108,17 @@ fi
 if [ "$SAN" = "enrich" ]; then
   # Enrichment gate: geo DB loaders fed truncated/hostile files, the
   # interner's lock-free read path, flat-cache eviction and the
-  # zero-allocation batch proof, plus the config-file parser and its
-  # mutation driver, all under ASan+UBSan in one build.
+  # zero-allocation batch proof, plus the config-file parser and the
+  # latency/alert/WebSocket decoders with their mutation drivers, all
+  # under ASan+UBSan in one build.
   BUILD="$ROOT/build-enrich"
   cmake -B "$BUILD" -S "$ROOT" -DRURU_SANITIZE=address+undefined \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo
-  cmake --build "$BUILD" -j"$JOBS" --target test_geo test_analytics test_core
+  cmake --build "$BUILD" -j"$JOBS" \
+    --target test_geo test_analytics test_core test_msg test_anomaly test_viz
   (cd "$BUILD" && ctest --output-on-failure -j"$JOBS" \
-    -R 'GeoDb|AsDb|Geo6Db|World|StringInterner|FlatCache|DbLoaderRobustness|Enricher|ZeroAlloc|Aggregator|SampleFilter|FilterChain|Pool|ConfigParse|PipelineConfigFile|ConfigFuzz')
-  echo "enrich gate OK: fast path and config loaders ASan+UBSan-clean"
+    -R 'GeoDb|AsDb|Geo6Db|World|StringInterner|FlatCache|DbLoaderRobustness|Enricher|ZeroAlloc|Aggregator|SampleFilter|FilterChain|Pool|ConfigParse|PipelineConfigFile|ConfigFuzz|LatencyCodecFuzz|AlertCodec|WsFrameFuzz|WebSocket')
+  echo "enrich gate OK: fast path, config loader and bus/alert/WebSocket decoders ASan+UBSan-clean"
   exit 0
 fi
 
