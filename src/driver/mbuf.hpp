@@ -6,6 +6,10 @@
 // provide it.  Ownership is expressed with a unique_ptr whose deleter
 // returns the buffer to its pool — buffers are never heap-allocated on
 // the data path.
+//
+// Only the first length() bytes of the dataroom are defined: the pool
+// never initializes the dataroom and a recycled buffer keeps an older
+// frame's tail, so nothing may read past length().
 
 #include <cassert>
 #include <cstdint>
@@ -44,10 +48,10 @@ class Mbuf {
   std::uint16_t queue_id = 0;
   std::uint16_t port_id = 0;
   /// Flight-recorder sampling: non-zero when this packet's flow is
-  /// 1-in-N traced (obs::trace_id_for of the RSS hash).  The NIC
-  /// writes trace_id on every packet while sampling is enabled (so
-  /// recycled mbufs never carry a stale id) and stamps ingest_ns only
-  /// for selected packets; with sampling off neither field is touched.
+  /// 1-in-N traced (obs::trace_id_for of the RSS hash).  The pool zeroes
+  /// both fields on every alloc, so a recycled mbuf never carries a
+  /// stale id; the NIC writes trace_id while sampling is enabled and
+  /// stamps ingest_ns only for selected packets.
   std::uint32_t trace_id = 0;
   std::int64_t ingest_ns = 0;  ///< TSC-clock stamp at NIC ingest (traced only)
 
@@ -62,6 +66,7 @@ class Mbuf {
 
   friend struct MbufDeleter;
 };
+static_assert(sizeof(Mbuf) == 64, "the descriptor is one cache line's worth of bytes");
 
 struct MbufDeleter {
   void operator()(Mbuf* m) const;

@@ -1,5 +1,7 @@
 #include "driver/mempool.hpp"
 
+#include <algorithm>
+
 namespace ruru {
 
 void MbufDeleter::operator()(Mbuf* m) const {
@@ -7,7 +9,9 @@ void MbufDeleter::operator()(Mbuf* m) const {
 }
 
 Mempool::Mempool(std::size_t count, std::size_t buf_size)
-    : count_(count), buf_size_(buf_size), storage_(count * buf_size) {
+    : count_(count),
+      buf_size_(buf_size),
+      storage_(std::make_unique_for_overwrite<std::uint8_t[]>(count * buf_size)) {
   mbufs_.reserve(count);
   free_list_.reserve(count);
   for (std::size_t i = 0; i < count; ++i) {
@@ -20,38 +24,45 @@ Mempool::Mempool(std::size_t count, std::size_t buf_size)
 
 Mempool::~Mempool() = default;
 
+void Mempool::reset(Mbuf& m) {
+  m.length_ = 0;
+  m.timestamp = Timestamp{};
+  m.rss_hash = 0;
+  m.queue_id = 0;
+  m.port_id = 0;
+  m.trace_id = 0;
+  m.ingest_ns = 0;
+}
+
 MbufPtr Mempool::alloc() {
-  std::lock_guard lock(mu_);
-  if (free_list_.empty()) {
-    ++alloc_failures_;
-    return nullptr;
+  Mbuf* m = nullptr;
+  {
+    std::lock_guard lock(mu_);
+    if (free_list_.empty()) {
+      ++alloc_failures_;
+      return nullptr;
+    }
+    m = free_list_.back();
+    free_list_.pop_back();
   }
-  Mbuf* m = free_list_.back();
-  free_list_.pop_back();
-  // Reset per-packet state.
-  m->length_ = 0;
-  m->timestamp = Timestamp{};
-  m->rss_hash = 0;
-  m->queue_id = 0;
-  m->port_id = 0;
+  reset(*m);
   return MbufPtr(m);
 }
 
 std::size_t Mempool::alloc_bulk(std::span<MbufPtr> out) {
   if (out.empty()) return 0;
-  std::lock_guard lock(mu_);
-  const std::size_t n = out.size() < free_list_.size() ? out.size() : free_list_.size();
-  for (std::size_t i = 0; i < n; ++i) {
-    Mbuf* m = free_list_.back();
-    free_list_.pop_back();
-    m->length_ = 0;
-    m->timestamp = Timestamp{};
-    m->rss_hash = 0;
-    m->queue_id = 0;
-    m->port_id = 0;
-    out[i] = MbufPtr(m);
+  std::size_t n = 0;
+  {
+    std::lock_guard lock(mu_);
+    n = std::min(out.size(), free_list_.size());
+    for (std::size_t i = 0; i < n; ++i) {
+      out[i] = MbufPtr(free_list_.back());
+      free_list_.pop_back();
+    }
+    alloc_failures_ += out.size() - n;
   }
-  alloc_failures_ += out.size() - n;
+  // Each descriptor's line is touched only now, with the lock released.
+  for (std::size_t i = 0; i < n; ++i) reset(*out[i]);
   return n;
 }
 

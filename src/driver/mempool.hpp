@@ -10,8 +10,14 @@
 // one-off buffers.  Exhaustion is an expected condition (alloc returns
 // null, alloc_bulk fills fewer slots) that the NIC counts as an rx
 // drop, matching DPDK semantics when a pool runs dry.
+//
+// The lock guards pointers only: alloc resets each descriptor after it
+// unlocks, so a worker's free_bulk never waits behind descriptor cache
+// misses.  The dataroom is allocated but never written here, so only the
+// pages of buffers actually used become resident.
 
 #include <cstdint>
+#include <memory>
 #include <mutex>
 #include <span>
 #include <vector>
@@ -53,10 +59,13 @@ class Mempool {
  private:
   friend struct MbufDeleter;
   void release(Mbuf* m);
+  /// Per-packet descriptor state back to a fresh buffer's; called by
+  /// the allocating thread once it owns `m`, outside the lock.
+  static void reset(Mbuf& m);
 
   const std::size_t count_;
   const std::size_t buf_size_;
-  std::vector<std::uint8_t> storage_;           // contiguous dataroom
+  std::unique_ptr<std::uint8_t[]> storage_;     // contiguous dataroom, uninitialized
   std::vector<Mbuf> mbufs_;                     // descriptor array
   std::vector<Mbuf*> free_list_;
   mutable std::mutex mu_;

@@ -13,11 +13,16 @@ namespace ruru {
 
 namespace {
 
+// How many frames ahead the classify loop prefetches a frame's header.
+// Replayed frames arrive cold, and hashing stalls on each one's first
+// line; eight frames of hashing cover the miss.
+constexpr std::size_t kHeaderPrefetchAhead = 8;
+
 // Flight-recorder stamping at the RX descriptor, the analogue of a
-// NIC writing a flow-director mark.  trace_id is written on every
-// packet while sampling is on (recycled mbufs must not keep a stale
-// id); the TSC read happens only for the 1-in-N selected packets.
-// Cost with sampling off: one predictable branch.
+// NIC writing a flow-director mark.  The pool hands out descriptors
+// with trace_id zeroed; while sampling is on, trace_id is written on
+// every packet and the TSC read happens only for the 1-in-N selected
+// packets.  Cost with sampling off: one predictable branch.
 inline void stamp_trace(Mbuf& m, std::uint32_t hash, std::uint32_t sample_n) {
   if constexpr (!obs::kTraceCompiled) {
     (void)m;
@@ -104,6 +109,9 @@ std::size_t SimNic::stage_and_publish(std::span<const RxFrame> frames, int lane,
   s.kept.clear();
   bool one_queue = true;  // every kept frame bound for the same queue
   for (std::uint32_t i = 0; i < frames.size(); ++i) {
+    if (i + kHeaderPrefetchAhead < frames.size()) {
+      __builtin_prefetch(frames[i + kHeaderPrefetchAhead].data.data(), 0 /*read*/, 3);
+    }
     if (queued != nullptr) queued[i] = false;
     const std::uint32_t hash = hash_frame(frames[i].data);
     const std::uint32_t queue = hash % nq;

@@ -4,13 +4,6 @@
 
 namespace ruru {
 
-std::optional<std::string> TagSet::get(const std::string& key) const {
-  for (const auto& [k, v] : tags_) {
-    if (k == key) return v;
-  }
-  return std::nullopt;
-}
-
 void TagSet::normalize() const {
   if (normalized_) return;
   std::sort(tags_.begin(), tags_.end());
@@ -29,14 +22,6 @@ const std::string& TagSet::canonical() const {
   }
   canonical_valid_ = true;
   return canonical_;
-}
-
-bool TagSet::matches(const TagSet& filter) const {
-  for (const auto& [k, v] : filter.tags_) {
-    const auto mine = get(k);
-    if (!mine || *mine != v) return false;
-  }
-  return true;
 }
 
 }  // namespace ruru

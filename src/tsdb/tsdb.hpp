@@ -10,7 +10,6 @@
 // carry those answers.
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -30,8 +29,6 @@ class TagSet {
     return *this;
   }
 
-  [[nodiscard]] std::optional<std::string> get(const std::string& key) const;
-
   /// Canonical "k1=v1,k2=v2" form (sorted by key).  Built once and
   /// cached; repeat calls return the cached string instead of
   /// reallocating it.
@@ -40,9 +37,6 @@ class TagSet {
   [[nodiscard]] const std::vector<std::pair<std::string, std::string>>& entries() const {
     return tags_;
   }
-
-  /// True when every (key,value) in `filter` appears in this set.
-  [[nodiscard]] bool matches(const TagSet& filter) const;
 
  private:
   void normalize() const;

@@ -1,5 +1,6 @@
 #include "util/json_writer.hpp"
 
+#include <charconv>
 #include <cinttypes>
 #include <cmath>
 #include <cstdio>
@@ -62,9 +63,11 @@ JsonWriter& JsonWriter::value(std::string_view v) {
 JsonWriter& JsonWriter::value(double v) {
   comma_if_needed();
   if (std::isfinite(v)) {
+    // Shortest digits that parse back to exactly `v`: an epoch-scale
+    // time in seconds keeps its milliseconds.
     char buf[32];
-    std::snprintf(buf, sizeof buf, "%.6g", v);
-    out_.append(buf);
+    const auto res = std::to_chars(buf, buf + sizeof buf, v);
+    out_.append(buf, res.ptr);
   } else {
     out_.append("null");  // JSON has no NaN/Inf
   }

@@ -37,6 +37,19 @@ TEST(AlertCodec, RoundTrip) {
   EXPECT_NEAR(d->time.to_sec(), a.time.to_sec(), 1e-3);
 }
 
+TEST(AlertCodec, EpochTimeRoundTripsExactly) {
+  // Six significant digits would have sent 1.7e+09: the time to the
+  // nearest 1000 s.
+  Alert a = sample_alert();
+  a.time = Timestamp::from_ms(1'700'000'123'456);
+  const Message m = encode_alert(a);
+  const std::string json(m.frames[1].view());
+  EXPECT_NE(json.find("\"t\":1700000123.456,"), std::string::npos) << json;
+  const auto d = decode_alert(m.frames[1]);
+  ASSERT_TRUE(d.has_value());
+  EXPECT_EQ(d->time, a.time);
+}
+
 TEST(AlertCodec, RoundTripWithEscapedCharacters) {
   Alert a = sample_alert();
   a.detail = "line1\nline2\t\"quoted\"";

@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <atomic>
+#include <cstdint>
 #include <cstring>
+#include <fstream>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -59,14 +63,55 @@ TEST(Mempool, ReallocResetsMetadata) {
     m->timestamp = Timestamp::from_sec(5);
     m->rss_hash = 0x1234;
     m->queue_id = 3;
+    m->port_id = 2;
+    m->trace_id = 0x1234;
+    m->ingest_ns = 99;
     std::vector<std::uint8_t> data(10, 1);
     m->assign(data);
   }
-  auto m2 = pool.alloc();
-  EXPECT_EQ(m2->timestamp.ns, 0);
-  EXPECT_EQ(m2->rss_hash, 0u);
-  EXPECT_EQ(m2->queue_id, 0);
-  EXPECT_EQ(m2->length(), 0u);
+  const auto expect_fresh = [](const Mbuf& m) {
+    EXPECT_EQ(m.timestamp.ns, 0);
+    EXPECT_EQ(m.rss_hash, 0u);
+    EXPECT_EQ(m.queue_id, 0);
+    EXPECT_EQ(m.port_id, 0);
+    EXPECT_EQ(m.trace_id, 0u);
+    EXPECT_EQ(m.ingest_ns, 0);
+    EXPECT_EQ(m.length(), 0u);
+  };
+  {
+    auto m2 = pool.alloc();
+    ASSERT_NE(m2, nullptr);
+    expect_fresh(*m2);
+    m2->rss_hash = 0x5678;
+    m2->trace_id = 7;
+  }
+  // The same buffer again, through the bulk path.
+  std::array<MbufPtr, 1> bulk;
+  ASSERT_EQ(pool.alloc_bulk(bulk), 1u);
+  expect_fresh(*bulk[0]);
+}
+
+/// This process's resident set in KiB, from /proc/self/status.
+std::size_t vm_rss_kib() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("VmRSS:", 0) == 0) return std::stoul(line.substr(6));
+  }
+  return 0;
+}
+
+TEST(Mempool, DataroomIsNotMadeResidentUpFront) {
+  // The default pool shape: 64 Ki buffers of 2 KiB, a 128 MiB dataroom.
+  // Only the descriptors (4 MiB) and the free stack are written at
+  // construction; the dataroom's pages stay untouched until used.
+  constexpr std::size_t kDataroomKib = (std::size_t{1} << 16) * 2048 / 1024;
+  const std::size_t before = vm_rss_kib();
+  ASSERT_GT(before, 0u);
+  Mempool pool(1 << 16, 2048);
+  const std::size_t after = vm_rss_kib();
+  EXPECT_LT(after - std::min(before, after), kDataroomKib / 4)
+      << "VmRSS grew from " << before << " KiB to " << after << " KiB";
 }
 
 TEST(Mempool, BuffersAreDistinct) {
@@ -190,6 +235,52 @@ TEST(Mempool, ConcurrentAllocBulkAndFreeBulkKeepAccounting) {
   producer.join();
   for (auto& t : consumers) t.join();
   EXPECT_EQ(pool.available(), pool.capacity());
+}
+
+TEST(Mempool, ConcurrentAllocBulkHandsOutFreshDescriptors) {
+  // Three threads share a pool smaller than their bursts combined: each
+  // allocates a burst, checks every descriptor came back reset, scribbles
+  // on it and frees it.  The reset runs after the lock is released, so
+  // it must only ever touch buffers the allocating thread owns; TSan
+  // reports it otherwise.  Every slot asked for is a success or exactly
+  // one alloc failure.
+  constexpr int kThreads = 3;
+  constexpr int kRounds = 10'000;
+  constexpr std::size_t kBurstSize = 8;
+  Mempool pool(16, 64);
+  std::atomic<std::uint64_t> handed_out{0};
+  std::atomic<std::uint64_t> stale{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&pool, &handed_out, &stale, t] {
+      std::array<MbufPtr, kBurstSize> burst;
+      for (int r = 0; r < kRounds; ++r) {
+        const std::size_t got = pool.alloc_bulk(burst);
+        for (std::size_t i = 0; i < got; ++i) {
+          Mbuf& m = *burst[i];
+          if (m.length() != 0 || m.timestamp.ns != 0 || m.rss_hash != 0 || m.queue_id != 0 ||
+              m.port_id != 0 || m.trace_id != 0 || m.ingest_ns != 0) {
+            stale.fetch_add(1, std::memory_order_relaxed);
+          }
+          const auto byte = static_cast<std::uint8_t>(r);
+          m.assign({&byte, 1});
+          m.timestamp = Timestamp::from_ns(r + 1);
+          m.rss_hash = static_cast<std::uint32_t>(t + 1);
+          m.queue_id = static_cast<std::uint16_t>(t + 1);
+          m.port_id = 1;
+          m.trace_id = 1;
+          m.ingest_ns = r + 1;
+        }
+        handed_out.fetch_add(got, std::memory_order_relaxed);
+        Mempool::free_bulk(std::span<MbufPtr>(burst).first(got));
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+  EXPECT_EQ(stale.load(), 0u);
+  EXPECT_EQ(pool.available(), pool.capacity());
+  EXPECT_EQ(handed_out.load() + pool.alloc_failures(),
+            std::uint64_t{kThreads} * kRounds * kBurstSize);
 }
 
 }  // namespace

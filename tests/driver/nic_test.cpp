@@ -8,6 +8,7 @@
 
 #include "net/packet_builder.hpp"
 #include "net/packet_view.hpp"
+#include "obs/trace.hpp"
 
 namespace ruru {
 namespace {
@@ -495,6 +496,57 @@ TEST_F(SimNicTest, OneQueueBurstKeepsArrivalOrderOnAFullRing) {
   }
   Mempool::free_bulk(std::span<MbufPtr>(rx).first(8));
   EXPECT_EQ(pool_.available(), pool_.capacity());
+}
+
+TEST_F(SimNicTest, RecycledMbufNeverCarriesStaleMetadata) {
+  // A one-buffer pool shared by two ports: every frame lands in the same
+  // recycled descriptor, and each must read back only its own metadata.
+  // Port 3 traces every hashed flow; port 0 has sampling off and hashes
+  // the non-IP frame to 0.
+  Mempool one(1, 2048);
+  NicConfig traced;
+  traced.num_queues = 4;
+  traced.port_id = 3;
+  traced.trace_sample_n = 1;
+  SimNic nic_a(traced, one);
+  NicConfig plain;
+  plain.num_queues = 1;
+  SimNic nic_b(plain, one);
+
+  const auto big = frames_for_queue(nic_a, 2, true, 1, 1000)[0];
+  const auto other = frames_for_queue(nic_a, 1, true, 1)[0];
+  const auto arp = build_non_ip_frame(42);
+  ASSERT_GT(big.size(), other.size());
+  ASSERT_GT(other.size(), arp.size());
+
+  const Mbuf* first = nullptr;
+  const auto check = [&](SimNic& nic, std::uint32_t sample_n, std::uint16_t port,
+                         const std::vector<std::uint8_t>& frame, Timestamp ts) {
+    ASSERT_TRUE(nic.inject(frame, ts));
+    const auto q = nic.queue_for(frame);
+    std::array<MbufPtr, 4> rx;
+    ASSERT_EQ(nic.rx_burst(q, rx), 1u);
+    const Mbuf& m = *rx[0];
+    if (first == nullptr) first = &m;
+    EXPECT_EQ(&m, first);  // the same descriptor every time
+    EXPECT_EQ(m.length(), frame.size());
+    EXPECT_EQ(m.timestamp, ts);
+    EXPECT_EQ(m.rss_hash, nic.hash_frame(frame));
+    EXPECT_EQ(m.queue_id, q);
+    EXPECT_EQ(m.port_id, port);
+    EXPECT_EQ(m.trace_id, obs::trace_id_for(m.rss_hash, sample_n));
+    EXPECT_EQ(std::memcmp(m.data(), frame.data(), frame.size()), 0);
+    Mempool::free_bulk(std::span<MbufPtr>(rx).first(1));
+  };
+  check(nic_a, 1, 3, big, Timestamp::from_ms(9));
+  if (obs::kTraceCompiled) {
+    EXPECT_NE(obs::trace_id_for(nic_a.hash_frame(big), 1), 0u);
+  }
+  check(nic_b, 0, 0, arp, Timestamp::from_ms(1));
+  check(nic_a, 1, 3, other, Timestamp::from_ms(2));
+  check(nic_b, 0, 0, other, Timestamp::from_ms(3));
+  EXPECT_EQ(one.available(), 1u);
+  EXPECT_EQ(one.alloc_failures(), 0u);
 }
 
 }  // namespace

@@ -4,6 +4,21 @@
 
 namespace ruru {
 
+std::optional<std::string> tag_value(const TagSet& tags, const std::string& key) {
+  for (const auto& [k, v] : tags.entries()) {
+    if (k == key) return v;
+  }
+  return std::nullopt;
+}
+
+bool tags_match(const TagSet& tags, const TagSet& filter) {
+  for (const auto& [k, v] : filter.entries()) {
+    const auto mine = tag_value(tags, k);
+    if (!mine || *mine != v) return false;
+  }
+  return true;
+}
+
 void TimeSeriesDb::write(const std::string& measurement, const TagSet& tags, Timestamp time,
                          double value) {
   std::lock_guard lock(mu_);
@@ -58,7 +73,7 @@ AggregateResult TimeSeriesDb::aggregate(const std::string& measurement, const Ta
     const auto m = data_.find(measurement);
     if (m != data_.end()) {
       for (const auto& [key, series] : m->second) {
-        if (series.tags.matches(filter)) collect(series, t0, t1, values);
+        if (tags_match(series.tags, filter)) collect(series, t0, t1, values);
       }
     }
   }
@@ -77,7 +92,7 @@ std::vector<WindowResult> TimeSeriesDb::window_aggregate(const std::string& meas
     const auto m = data_.find(measurement);
     if (m != data_.end()) {
       for (const auto& [key, series] : m->second) {
-        if (!series.tags.matches(filter)) continue;
+        if (!tags_match(series.tags, filter)) continue;
         for (const auto& p : series.points) {
           if (p.time < t0 || p.time >= t1) continue;
           buckets[static_cast<std::size_t>((p.time.ns - t0.ns) / step.ns)].push_back(p.value);
@@ -104,8 +119,8 @@ std::vector<GroupResult> TimeSeriesDb::group_by(const std::string& measurement,
     const auto m = data_.find(measurement);
     if (m != data_.end()) {
       for (const auto& [key, series] : m->second) {
-        if (!series.tags.matches(filter)) continue;
-        const auto v = series.tags.get(tag_key);
+        if (!tags_match(series.tags, filter)) continue;
+        const auto v = tag_value(series.tags, tag_key);
         if (!v) continue;
         collect(series, t0, t1, groups[*v]);
       }

@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -19,6 +20,13 @@
 #include "util/time.hpp"
 
 namespace ruru {
+
+/// Value of tag `key` in `tags`, if present.
+std::optional<std::string> tag_value(const TagSet& tags, const std::string& key);
+
+/// True when every (key,value) in `filter` appears in `tags`: the filter
+/// semantics the engine's SeriesIndex::matches must reproduce.
+bool tags_match(const TagSet& tags, const TagSet& filter);
 
 struct DataPoint {
   Timestamp time;

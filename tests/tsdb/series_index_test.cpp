@@ -1,7 +1,7 @@
 // SeriesIndex: identity, filters and canonical forms on interned ids.
 // The contract under test is "legacy TagSet semantics, zero strings on
 // the hot path": tag insertion order must not split a series, filters
-// must match exactly like TagSet::matches, and unknown strings must
+// must match exactly like the legacy tags_match, and unknown strings must
 // short-circuit to impossible instead of crashing or allocating.
 
 #include "tsdb/series_index.hpp"
@@ -11,6 +11,8 @@
 #include <algorithm>
 #include <string>
 #include <vector>
+
+#include "tsdb/legacy_tsdb.hpp"
 
 namespace ruru {
 namespace {
@@ -58,7 +60,7 @@ TEST(SeriesIndex, FilterMatchesLikeLegacyTagSet) {
   const auto check = [&](const TagSet& filter) {
     const TagFilter f = idx.make_filter(filter);
     EXPECT_FALSE(f.impossible);
-    EXPECT_EQ(idx.matches(sid, f), series_tags.matches(filter))
+    EXPECT_EQ(idx.matches(sid, f), tags_match(series_tags, filter))
         << "filter: " << filter.canonical();
   };
   check(TagSet{});                                       // empty matches everything

@@ -30,16 +30,16 @@ TEST(TagSet, MatchesSubset) {
   const TagSet t = tags("Auckland", "Los Angeles");
   TagSet filter;
   filter.add("src_city", "Auckland");
-  EXPECT_TRUE(t.matches(filter));
+  EXPECT_TRUE(tags_match(t, filter));
   filter.add("dst_city", "London");
-  EXPECT_FALSE(t.matches(filter));
-  EXPECT_TRUE(t.matches(TagSet{}));  // empty filter matches all
+  EXPECT_FALSE(tags_match(t, filter));
+  EXPECT_TRUE(tags_match(t, TagSet{}));  // empty filter matches all
 }
 
 TEST(TagSet, GetByKey) {
   const TagSet t = tags("A", "B");
-  EXPECT_EQ(t.get("src_city").value(), "A");
-  EXPECT_FALSE(t.get("nope").has_value());
+  EXPECT_EQ(tag_value(t, "src_city").value(), "A");
+  EXPECT_FALSE(tag_value(t, "nope").has_value());
 }
 
 STORE_TEST(Tsdb, AggregateBasicStats) {

@@ -61,6 +61,12 @@ TEST(JsonWriter, NumbersRoundTrip) {
   EXPECT_EQ(w.str(), "[3.5,-42,18446744073709551615]");
 }
 
+TEST(JsonWriter, DoublesUseShortestRoundTripDigits) {
+  JsonWriter w;
+  w.begin_array().value(1700000123.456).value(0.1).value(1e21).value(-2.5e-7).end_array();
+  EXPECT_EQ(w.str(), "[1700000123.456,0.1,1e+21,-2.5e-07]");
+}
+
 TEST(JsonWriter, NonFiniteDoublesBecomeNull) {
   JsonWriter w;
   w.begin_array().value(std::nan("")).value(1.0 / 0.0).end_array();

@@ -60,7 +60,11 @@ build() {  # <source root> <build dir>
 
 rm -rf "$WORK/base-src"
 mkdir -p "$WORK/base-src" "$WORK/runs"
-git -C "$ROOT" archive "$BASE_SHA" | tar -x -C "$WORK/base-src"
+# --touch: stamp the extracted files with the current time, not the
+# commit's.  A reused BENCH_AB_DIR keeps the previous base's objects, and
+# an older base commit's sources would otherwise look up to date to the
+# incremental build.
+git -C "$ROOT" archive "$BASE_SHA" | tar -x --touch -C "$WORK/base-src"
 echo "building base ${BASE_SHA:0:12} and the working tree under $WORK" >&2
 build "$WORK/base-src" "$WORK/base-build"
 build "$ROOT" "$WORK/change-build"
