@@ -1,12 +1,16 @@
 // E9 / §2 — the ZeroMQ role: zero-copy pub/sub between pipeline stages.
 //
 // Reports in-proc publish throughput vs payload size and subscriber
-// count, and the HWM drop behaviour under an absent consumer (the
-// publisher must never block).
+// count, the HWM drop behaviour under an absent consumer (the
+// publisher must never block), and how fast a publish wakes an idle
+// consumer blocked in recv().
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <chrono>
 #include <thread>
+#include <vector>
 
 #include "msg/codec.hpp"
 #include "msg/pubsub.hpp"
@@ -107,10 +111,15 @@ void BM_HwmPolicyWithSlowConsumer(benchmark::State& state) {
   std::uint64_t retries = 0;
   for (auto _ : state) {
     if (block) {
-      detail::Backoff backoff;
-      while (pub.publish(msg) == 0) {
+      // Spin, then yield, then sleep: the backoff of the blocking policy
+      // the bus had before it only dropped.
+      for (int attempt = 0; pub.publish(msg) == 0; ++attempt) {
         ++retries;
-        backoff.pause();
+        if (attempt >= 96) {
+          std::this_thread::sleep_for(std::chrono::microseconds(50));
+        } else if (attempt >= 64) {
+          std::this_thread::yield();
+        }
       }
     } else {
       pub.publish(msg);
@@ -129,6 +138,51 @@ BENCHMARK(BM_HwmPolicyWithSlowConsumer)
     ->Arg(1)
     ->ArgName("policy(0=drop,1=block)")
     ->UseRealTime();
+
+// Idle-consumer wake latency: the consumer is blocked in recv() with
+// the bus idle long enough that it has stopped polling and parked
+// (1 ms per round, well past EventCount::kSpin), then one message is
+// published.  Reports publish -> recv() return, p50 and p99 over the
+// rounds; the timed loop itself is only the idle gaps.
+void BM_IdleConsumerWakeLatency(benchmark::State& state) {
+  using Clock = std::chrono::steady_clock;
+  PubSocket pub;
+  auto sub = pub.subscribe("", 16);
+  std::vector<double> wake_us;
+  wake_us.reserve(static_cast<std::size_t>(state.max_iterations));
+  std::atomic<std::int64_t> sent_ns{0};
+  std::atomic<std::uint64_t> received{0};
+  std::thread consumer([&] {
+    while (sub->recv()) {
+      const std::int64_t now = Clock::now().time_since_epoch().count();
+      wake_us.push_back(static_cast<double>(now - sent_ns.load(std::memory_order_acquire)) /
+                        1e3);
+      received.fetch_add(1, std::memory_order_release);
+    }
+  });
+  const Message msg = make_message(68);
+  std::uint64_t sent = 0;
+  for (auto _ : state) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    sent_ns.store(Clock::now().time_since_epoch().count(), std::memory_order_release);
+    pub.publish(msg);
+    ++sent;
+    while (received.load(std::memory_order_acquire) != sent) {
+    }
+  }
+  pub.close_all();
+  consumer.join();
+
+  std::sort(wake_us.begin(), wake_us.end());
+  const auto pct = [&](double q) {
+    if (wake_us.empty()) return 0.0;
+    return wake_us[static_cast<std::size_t>(q * static_cast<double>(wake_us.size() - 1))];
+  };
+  state.counters["wake_p50_us"] = pct(0.50);
+  state.counters["wake_p99_us"] = pct(0.99);
+  state.counters["rounds"] = static_cast<double>(wake_us.size());
+}
+BENCHMARK(BM_IdleConsumerWakeLatency)->Iterations(2000)->UseRealTime();
 
 // The batched latency feed vs the seed per-sample path, measured in
 // samples/sec end to end (encode → publish → recv → decode). batch=1

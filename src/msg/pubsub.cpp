@@ -18,13 +18,7 @@ std::optional<Message> Subscription::try_recv() {
 }
 
 std::optional<Message> Subscription::recv() {
-  if (lanes_.empty()) return queue_.pop();
-  detail::Backoff backoff;
-  while (true) {
-    if (auto v = try_recv()) return v;
-    if (closed_and_drained()) return std::nullopt;
-    backoff.pause();
-  }
+  return wake_.await([this] { return try_recv(); }, [this] { return closed_and_drained(); });
 }
 
 std::optional<Message> Subscription::try_recv_shard(std::size_t shard, std::size_t nshards) {
@@ -49,29 +43,23 @@ std::optional<Message> Subscription::try_recv_shard(std::size_t shard, std::size
 
 std::optional<Message> Subscription::recv_shard(std::size_t shard, std::size_t nshards) {
   if (nshards <= 1 || lanes_.empty()) return recv();
-  detail::Backoff backoff;
-  while (true) {
-    if (auto v = try_recv_shard(shard, nshards)) return v;
-    if (shard_closed_and_drained(shard % nshards, nshards)) return std::nullopt;
-    backoff.pause();
-  }
+  shard %= nshards;
+  return wake_.await([&] { return try_recv_shard(shard, nshards); },
+                     [&] { return shard_closed_and_drained(shard, nshards); });
 }
 
 bool Subscription::shard_closed_and_drained(std::size_t shard, std::size_t nshards) const {
-  if (shard == 0 && (!queue_.closed() || queue_.size() != 0)) return false;
+  if (shard == 0 && !queue_.drained()) return false;
   for (std::size_t lane = shard; lane < lanes_.size(); lane += nshards) {
-    if (!lanes_[lane]->closed() || lanes_[lane]->size() != 0) return false;
+    if (!lanes_[lane]->drained()) return false;
   }
   return true;
 }
 
 bool Subscription::closed_and_drained() const {
-  // Same contract as BusQueue::pop: a push that claimed its ring ticket
-  // before close() is counted by size(), so closed + all-empty means
-  // nothing more can arrive.
-  if (!queue_.closed() || queue_.size() != 0) return false;
+  if (!queue_.drained()) return false;
   for (const auto& lane : lanes_) {
-    if (!lane->closed() || lane->size() != 0) return false;
+    if (!lane->drained()) return false;
   }
   return true;
 }
@@ -85,6 +73,7 @@ std::size_t Subscription::pending() const {
 void Subscription::close() {
   queue_.close();
   for (auto& lane : lanes_) lane->close();
+  wake_.wake_all();
 }
 
 PubSocket::~PubSocket() {

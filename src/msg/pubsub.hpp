@@ -13,6 +13,14 @@
 // counters are atomics, so a publish acquires no mutex regardless of
 // subscriber count or contention.
 //
+// Blocking receive is event-driven, like ZeroMQ's blocking recv: an idle
+// consumer polls for EventCount::kSpin, then parks on the subscription's
+// EventCount (a futex).  Every successful offer signals it, which costs
+// the publisher one fence and one relaxed load while nobody is parked;
+// the first publisher to find a consumer parked pays the one FUTEX_WAKE.
+// close() always wakes.  See EventCount (msg/bus_queue.hpp) for why no
+// wakeup is lost.
+//
 // Fan-in lanes: with N worker lcores all flushing latency batches into
 // one subscriber, a single MPMC ring makes every worker CAS-contend on
 // one ticket cursor.  A PubSocket constructed with `fanin_lanes = N`
@@ -91,6 +99,7 @@ class Subscription {
 
  private:
   friend class PubSocket;
+  friend struct SubscriptionTestAccess;  ///< tests observe the park flag
   /// `samples`: how many samples `m` carries (counter weight).
   /// Shares frames either way — no byte copy. Mutex-free.
   bool offer(const Message& m, std::uint64_t samples) { return offer_to(queue_, m, samples); }
@@ -104,6 +113,7 @@ class Subscription {
   bool offer_to(BusQueue<Message>& q, const Message& m, std::uint64_t samples) {
     const bool ok = q.try_push(m);
     if (ok) {
+      wake_.notify();
       delivered_.fetch_add(samples, std::memory_order_relaxed);
     } else {
       dropped_.fetch_add(samples, std::memory_order_relaxed);
@@ -122,6 +132,8 @@ class Subscription {
   /// Round-robin receive cursor (fairness across lanes, shared by a
   /// consumer pool).
   std::atomic<std::uint64_t> rr_{0};
+  /// Where blocked receivers park; signalled by every successful offer.
+  EventCount wake_;
 };
 
 class PubSocket {

@@ -3,11 +3,20 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <optional>
 #include <thread>
 #include <vector>
 
 namespace ruru {
 namespace {
+
+// A blocking pop, built the way Subscription::recv() builds one: poll
+// the queue, park on its EventCount, give up once closed and drained.
+template <typename T>
+std::optional<T> pop_blocking(BusQueue<T>& q, EventCount& wake) {
+  return wake.await([&] { return q.try_pop(); }, [&] { return q.drained(); });
+}
 
 TEST(BusQueue, FifoWithinCapacity) {
   BusQueue<int> q(4);
@@ -38,23 +47,28 @@ TEST(BusQueue, HwmOfOne) {
 
 TEST(BusQueue, CloseDrainsThenReportsClosed) {
   BusQueue<int> q(8);
+  EventCount wake;
   EXPECT_TRUE(q.try_push(1));
   q.close();
   EXPECT_FALSE(q.try_push(2));
-  EXPECT_EQ(q.pop().value(), 1);          // backlog drains
-  EXPECT_FALSE(q.pop().has_value());      // then closed
+  EXPECT_FALSE(q.drained());                           // backlog left
+  EXPECT_EQ(pop_blocking(q, wake).value(), 1);         // backlog drains
+  EXPECT_TRUE(q.drained());
+  EXPECT_FALSE(pop_blocking(q, wake).has_value());     // then closed
   EXPECT_FALSE(q.try_pop().has_value());
 }
 
 TEST(BusQueue, BlockingPopWokenByPush) {
   BusQueue<int> q(8);
+  EventCount wake;
   std::atomic<int> got{0};
   std::thread consumer([&] {
-    const auto v = q.pop();
+    const auto v = pop_blocking(q, wake);
     got.store(v.value_or(-1));
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(10));
   EXPECT_TRUE(q.try_push(42));
+  wake.notify();
   consumer.join();
   EXPECT_EQ(got.load(), 42);
 }
@@ -64,13 +78,14 @@ TEST(BusQueue, ConcurrentProducersConsumersConserveItems) {
   constexpr int kConsumers = 4;
   constexpr std::uint64_t kPerProducer = 20'000;
   BusQueue<std::uint64_t> q(256);
+  EventCount wake;
 
   std::atomic<std::uint64_t> popped_sum{0};
   std::atomic<std::uint64_t> popped_count{0};
   std::vector<std::thread> threads;
   for (int c = 0; c < kConsumers; ++c) {
     threads.emplace_back([&] {
-      while (auto v = q.pop()) {
+      while (auto v = pop_blocking(q, wake)) {
         popped_sum.fetch_add(*v, std::memory_order_relaxed);
         popped_count.fetch_add(1, std::memory_order_relaxed);
       }
@@ -85,11 +100,13 @@ TEST(BusQueue, ConcurrentProducersConsumersConserveItems) {
         while (!q.try_push(static_cast<std::uint64_t>(p) * kPerProducer + i)) {
           std::this_thread::yield();
         }
+        wake.notify();
       }
     });
   }
   for (auto& t : producers) t.join();
   q.close();
+  wake.wake_all();
   for (auto& t : threads) t.join();
 
   const std::uint64_t n = kProducers * kPerProducer;

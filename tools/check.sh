@@ -32,10 +32,11 @@
 # snapshot thread.
 #
 # The `scale` mode gates the multi-core scale-out (pinned topology,
-# sharded injection, fan-in lanes): the msg + driver + core suites
-# under TSan — per-lane publish is single-producer by contract and the
+# sharded injection, fan-in lanes): the msg + driver + core + analytics
+# suites under TSan — per-lane publish is single-producer by contract and the
 # sharded producer lanes feed per-queue SPSC rings, so any accidental
-# sharing is a data race this build must catch — then the determinism
+# sharing is a data race this build must catch; the enrichment pool's
+# sharded consumers park on the bus's eventcount — then the determinism
 # invariant run un-sanitized: the sharded pipeline must emit bit-
 # identical samples at 1, 2, and 4 workers.
 #
@@ -154,9 +155,9 @@ if [ "$SAN" = "scale" ]; then
   # the Scaling suite drives end to end.
   BUILD="$ROOT/build-thread"
   cmake -B "$BUILD" -S "$ROOT" -DRURU_SANITIZE=thread -DCMAKE_BUILD_TYPE=RelWithDebInfo
-  cmake --build "$BUILD" -j"$JOBS" --target test_msg test_driver test_core
+  cmake --build "$BUILD" -j"$JOBS" --target test_msg test_driver test_core test_analytics
   (cd "$BUILD" && ctest --output-on-failure -j"$JOBS" \
-    -R 'FanIn|PubSub|BusQueue|Nic|Mempool|LcoreLauncher|Scaling|Pipeline')
+    -R 'FanIn|PubSub|BusQueue|Pool|Nic|Mempool|LcoreLauncher|Scaling|Pipeline')
 
   # Part 2: the determinism invariant, run un-sanitized so timing is
   # representative.  ShardedNWorkersBitIdenticalTo1Worker compares the
