@@ -64,7 +64,7 @@ void BM_PipelineThroughputVsQueues(benchmark::State& state) {
 
     std::uint64_t bytes = 0;
     for (const auto& f : frames) {
-      while (!nic.inject(f.frame, f.timestamp)) {
+      while (!ruru::bench::inject_one(nic, f.frame, f.timestamp)) {
         // NIC full: spin until a worker drains (lossless for accuracy).
       }
       bytes += f.frame.size();
@@ -95,12 +95,13 @@ BENCHMARK(BM_PipelineThroughputVsQueues)
     ->MeasureProcessCPUTime()
     ->UseRealTime();
 
-// Injection-batching sweep at fixed queue count: burst=1 is the seed's
-// per-frame inject behaviour, burst=32 stages mbufs per queue and
+// Injection-batching sweep at fixed queue count: burst=1 injects one
+// frame per call, burst=32 stages mbufs per queue and
 // publishes each queue's run with one release store. Items/sec is
 // packets/sec through the capture front end; `samples_per_sec` reports
-// the measurement rate alongside it. Failed frames retry individually
-// (lossless), so handshake counts stay comparable across burst sizes.
+// the measurement rate alongside it. Each burst is capped at the NIC's
+// free room (lossless), so handshake counts stay comparable across
+// burst sizes.
 void BM_PipelineThroughputVsBurst(benchmark::State& state) {
   const auto burst_size = static_cast<std::size_t>(state.range(0));
   constexpr std::uint16_t kQueues = 4;
@@ -132,14 +133,15 @@ void BM_PipelineThroughputVsBurst(benchmark::State& state) {
 
     std::vector<RxFrame> burst;
     burst.reserve(burst_size);
-    const auto queued = std::make_unique<bool[]>(burst_size);
     const auto flush = [&] {
-      if (burst.empty()) return;
-      nic.inject_burst(burst, queued.get());
-      for (std::size_t i = 0; i < burst.size(); ++i) {
-        while (!queued[i] && !nic.inject(burst[i].data, burst[i].rx_time)) {
+      for (std::span<const RxFrame> rest(burst); !rest.empty();) {
+        std::size_t room = 0;
+        while ((room = nic.room()) == 0) {
           // NIC full: spin until a worker drains (lossless for accuracy).
         }
+        const std::size_t n = std::min(rest.size(), room);
+        nic.inject_burst(rest.first(n));
+        rest = rest.subspan(n);
       }
       burst.clear();
     };
@@ -193,7 +195,7 @@ void BM_RxPathVsFrameSize(benchmark::State& state) {
 
   std::int64_t t = 0;
   for (auto _ : state) {
-    for (int i = 0; i < 64; ++i) nic.inject(frame, Timestamp::from_ns(++t));
+    for (int i = 0; i < 64; ++i) ruru::bench::inject_one(nic, frame, Timestamp::from_ns(++t));
     while (worker.poll_once() != 0) {
     }
   }
@@ -261,7 +263,7 @@ void BM_PipelineBusBatching(benchmark::State& state) {
     }
 
     for (const auto& f : frames) {
-      while (!nic.inject(f.frame, f.timestamp)) {
+      while (!ruru::bench::inject_one(nic, f.frame, f.timestamp)) {
       }
     }
     lcores.stop_and_join();
@@ -315,8 +317,10 @@ void BM_FullPipelineMetricsOverhead(benchmark::State& state) {
     RuruPipeline pipeline(cfg, world.geo, world.as);
     pipeline.start();
     for (const auto& f : frames) {
-      while (!pipeline.inject(f.frame, f.timestamp)) {
+      while (pipeline.nic().room() == 0) {
+        // NIC full: wait for a worker, then offer the frame once.
       }
+      ruru::bench::inject_one(pipeline, f.frame, f.timestamp);
     }
     pipeline.finish();
     samples += pipeline.summary().tracker.samples_emitted;

@@ -69,7 +69,7 @@ void BM_WorkerInflowModes(benchmark::State& state) {
 
     std::size_t pending = 0;
     for (const auto& f : frames) {
-      while (!nic.inject(f.frame, f.timestamp)) worker.poll_once();
+      while (!ruru::bench::inject_one(nic, f.frame, f.timestamp)) worker.poll_once();
       if (++pending >= 64) {
         worker.poll_once();
         pending = 0;
@@ -145,7 +145,7 @@ void BM_Fig2WithInflow(benchmark::State& state) {
       lcores.launch([wp](std::uint32_t, const std::atomic<bool>& stop) { wp->run(stop); });
     }
     for (const auto& f : frames) {
-      while (!nic.inject(f.frame, f.timestamp)) {
+      while (!ruru::bench::inject_one(nic, f.frame, f.timestamp)) {
       }
     }
     lcores.stop_and_join();
@@ -223,13 +223,13 @@ void BM_InflowKernelSaturated(benchmark::State& state) {
 
   std::int64_t t = 0;
   for (const auto& f : setup) {
-    nic.inject(f, Timestamp::from_ns(++t));
+    ruru::bench::inject_one(nic, f, Timestamp::from_ns(++t));
     worker.poll_once();
   }
 
   for (auto _ : state) {
     for (const auto& f : data) {
-      while (!nic.inject(f, Timestamp::from_ns(++t))) worker.poll_once();
+      while (!ruru::bench::inject_one(nic, f, Timestamp::from_ns(++t))) worker.poll_once();
     }
     while (worker.poll_once() != 0) {
     }

@@ -158,9 +158,10 @@ void BM_ToeplitzTable(benchmark::State& state) {
 }
 BENCHMARK(BM_ToeplitzTable)->Arg(12)->Arg(36)->ArgName("bytes");
 
-// RX publish path: per-frame inject (one release store per frame) vs
-// inject_burst (per-queue staging, one release store per queue). Both
-// drain identically, so the delta is the publish path itself.
+// RX publish path: one-frame inject_burst calls (one release store per
+// frame) vs one whole burst (per-queue staging, one release store per
+// queue). Both drain identically, so the delta is the publish path
+// itself.
 std::vector<std::vector<std::uint8_t>> inject_bench_frames() {
   std::vector<std::vector<std::uint8_t>> frames;
   for (int i = 0; i < 64; ++i) {
@@ -192,9 +193,11 @@ void BM_NicInject(benchmark::State& state) {
   cfg.queue_depth = 8192;
   SimNic nic(cfg, pool);
   const auto frames = inject_bench_frames();
+  std::vector<RxFrame> burst;
+  for (const auto& f : frames) burst.push_back({f, Timestamp{}});
   for (auto _ : state) {
-    for (const auto& f : frames) {
-      benchmark::DoNotOptimize(nic.inject(f, Timestamp{}));
+    for (const RxFrame& rx : burst) {
+      benchmark::DoNotOptimize(nic.inject_burst({&rx, 1}));
     }
     drain_nic(nic);
   }

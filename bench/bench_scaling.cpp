@@ -1,25 +1,26 @@
 // Multi-core scale-out: capture -> flow -> bus -> enrichment at 1..8
-// workers (ISSUE 6 tentpole bench).
+// workers.
 //
 // Three angles, all on the same pre-generated trans-Pacific trace:
 //
-//  * BM_ScalingPipeline — the whole RuruPipeline with N RX queues, N
-//    pinned workers and sharded injection (replay_scenario_sharded):
-//    one producer lane per queue, per-worker bus publish lanes.  The
-//    run also asserts bit-identical measurement output at every N:
-//    symmetric RSS puts both directions of a flow on one queue, so the
-//    handshake/sample counts must match the 1-worker run exactly
-//    (counter `identical_to_1worker`).
+//  * BM_ScalingPipeline — the whole RuruPipeline with N RX queues and N
+//    workers, fed by the one-producer burst replay (replay_scenario),
+//    with per-worker bus publish lanes.  The run also asserts
+//    bit-identical measurement output at every N: symmetric RSS puts
+//    both directions of a flow on one queue, so the handshake/sample
+//    counts must match the 1-worker run exactly (counter
+//    `identical_to_1worker`).
 //
 //  * BM_ScalingShardMakespan — the scaling *model* honest on this
 //    container: frames are partitioned with the NIC's own RSS steering
-//    (queue_for), then each shard is drained to completion by its own
-//    worker, timed sequentially.  Aggregate rate = total frames /
-//    slowest shard (the makespan a real N-core host would see, since
-//    lanes share nothing: per-queue rings, per-worker tables, per-lane
-//    bus queues).  This deliberately removes the 1-core host's
-//    scheduler interleaving from the measurement; the environment
-//    block in BENCH_scaling.json records the caveat.
+//    (hash_frame() % queues), then each shard is fed through
+//    inject_burst and drained to completion by its own worker, timed
+//    sequentially.  Aggregate rate = total frames / slowest shard (the
+//    makespan a real N-core host would see, since workers share
+//    nothing: per-queue rings, per-worker tables, per-lane bus queues).
+//    This deliberately removes the host's scheduler interleaving from
+//    the measurement; the environment block in BENCH_scaling.json
+//    records the caveat.
 //
 //  * BM_SoakResidentFlows — millions of concurrent flows resident:
 //    per-worker tables at 2M slots are filled to ~1.2M live handshakes
@@ -62,7 +63,7 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
 }
 
-// --- full pipeline, sharded injection, determinism across N ---
+// --- full pipeline, one-producer replay, determinism across N ---
 
 void BM_ScalingPipeline(benchmark::State& state) {
   const auto workers = static_cast<std::uint16_t>(state.range(0));
@@ -84,7 +85,7 @@ void BM_ScalingPipeline(benchmark::State& state) {
     RuruPipeline pipeline(cfg, world.geo, world.as);
     pipeline.start();
     auto model = scenarios::transpacific(0xF162, 4000.0, Duration::from_sec(5.0));
-    const ReplayStats rs = replay_scenario_sharded(pipeline, model, /*retry_drops=*/true);
+    const ReplayStats rs = replay_scenario(pipeline, model);
     pipeline.finish();
 
     const PipelineSummary sum = pipeline.summary();
@@ -130,6 +131,7 @@ void BM_ScalingShardMakespan(benchmark::State& state) {
   const auto& frames = trace();
 
   std::uint64_t samples = 0;
+  std::uint64_t drops = 0;
   double max_shard = 0.0;
   double min_shard = 0.0;
   double model_pps = 0.0;
@@ -144,7 +146,7 @@ void BM_ScalingShardMakespan(benchmark::State& state) {
     // the stream worker q would see live.
     std::vector<std::vector<RxFrame>> shards(workers);
     for (const auto& f : frames) {
-      shards[nic.queue_for(f.frame)].push_back({f.frame, f.timestamp});
+      shards[nic.hash_frame(f.frame) % workers].push_back({f.frame, f.timestamp});
     }
 
     double iter_max = 0.0;
@@ -155,22 +157,14 @@ void BM_ScalingShardMakespan(benchmark::State& state) {
       QueueWorker worker(nic, q, 1 << 14,
                          [&shard_samples](const LatencySample&) { ++shard_samples; });
       const std::size_t max_chunk = cfg.queue_depth / 2;
-      const auto queued = std::make_unique<bool[]>(max_chunk);
       const auto t0 = std::chrono::steady_clock::now();
       std::span<const RxFrame> rest(shards[q]);
       while (!rest.empty()) {
-        // Half-queue-depth chunks: inject a burst, drain it, repeat —
-        // the steady state of a lane producer paired with its worker.
+        // Half-queue-depth chunks into a drained ring and pool: inject a
+        // burst, drain it, repeat — the steady state of one queue's
+        // stream paired with its worker.
         const std::size_t chunk = std::min(rest.size(), max_chunk);
-        std::span<const RxFrame> batch = rest.first(chunk);
-        nic.inject_shard(q, batch, queued.get());
-        for (std::size_t i = 0; i < chunk; ++i) {
-          while (!queued[i]) {  // ring/mempool momentarily full: lossless retry
-            while (worker.poll_once() != 0) {
-            }
-            nic.inject_shard(q, batch.subspan(i, 1), queued.get() + i);
-          }
-        }
+        drops += chunk - nic.inject_burst(rest.first(chunk));
         while (worker.poll_once() != 0) {
         }
         rest = rest.subspan(chunk);
@@ -192,6 +186,7 @@ void BM_ScalingShardMakespan(benchmark::State& state) {
   state.counters["shard_imbalance"] =
       min_shard > 0 ? (max_shard / min_shard) : 0.0;
   state.counters["samples"] = static_cast<double>(samples) / iters;
+  state.counters["drops"] = static_cast<double>(drops);
 }
 BENCHMARK(BM_ScalingShardMakespan)
     ->Arg(1)

@@ -72,7 +72,7 @@ void BM_TraceOverheadPipeline(benchmark::State& state) {
 
     pipeline.start();
     auto model = scenarios::transpacific(0xF162, 4000.0, Duration::from_sec(5.0));
-    const ReplayStats rs = replay_scenario_sharded(pipeline, model, /*retry_drops=*/true);
+    const ReplayStats rs = replay_scenario(pipeline, model);
     pipeline.finish();
 
     std::sort(facts.begin(), facts.end());

@@ -7,10 +7,19 @@
 
 #include "capture/scenarios.hpp"
 #include "capture/traffic_model.hpp"
+#include "driver/nic.hpp"
 #include "geo/world.hpp"
 #include "util/random.hpp"
 
 namespace ruru::bench {
+
+/// One frame as a one-frame inject_burst() (SimNic and RuruPipeline
+/// take bursts only); true when the frame was queued.
+template <class Port>
+bool inject_one(Port& port, std::span<const std::uint8_t> frame, Timestamp rx_time) {
+  const RxFrame rx{frame, rx_time};
+  return port.inject_burst({&rx, 1}) == 1;
+}
 
 /// Zipf(s) sampler over ranks [0, n) via a precomputed CDF.  Sampling is
 /// a binary search, so pregenerate sequences outside timed loops.

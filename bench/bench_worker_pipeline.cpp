@@ -143,7 +143,7 @@ void run_established(benchmark::State& state, std::size_t depth, bool inflow_on)
 
   std::int64_t t = 0;
   for (const auto& f : mix.setup) {
-    nic.inject(f, Timestamp::from_ns(++t));
+    ruru::bench::inject_one(nic, f, Timestamp::from_ns(++t));
     worker.poll_once();
   }
   while (worker.poll_once() != 0) {
@@ -153,7 +153,7 @@ void run_established(benchmark::State& state, std::size_t depth, bool inflow_on)
   for (auto _ : state) {
     state.PauseTiming();
     for (std::size_t k = 0; k < kChunk; ++k) {
-      nic.inject(mix.data[cursor], Timestamp::from_ns(++t));
+      ruru::bench::inject_one(nic, mix.data[cursor], Timestamp::from_ns(++t));
       cursor = cursor + 1 == mix.data.size() ? 0 : cursor + 1;
     }
     state.ResumeTiming();
@@ -225,7 +225,7 @@ void BM_WorkerTranspacific(benchmark::State& state) {
     worker.set_obs(wobs);
     std::size_t pending = 0;
     for (const auto& f : frames) {
-      while (!nic.inject(f.frame, f.timestamp)) worker.poll_once();
+      while (!ruru::bench::inject_one(nic, f.frame, f.timestamp)) worker.poll_once();
       if (++pending >= 64) {
         worker.poll_once();
         pending = 0;

@@ -7,6 +7,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <thread>
 
 #include "core/pipeline.hpp"
 #include "core/replay.hpp"
@@ -41,8 +42,10 @@ int main(int argc, char** argv) {
 
   while (auto f = model.next()) {
     const Timestamp t = f->timestamp;
-    while (!pipeline.inject(f->frame, t)) {
-    }
+    // Lossless: wait for NIC room, then offer the frame once.
+    while (pipeline.nic().room() == 0) std::this_thread::yield();
+    const RxFrame rx{f->frame, t};
+    pipeline.inject_burst({&rx, 1});
     if (fps.allow(t)) {
       const ArcFrame frame = pipeline.arcs().cut_frame(t);
       if (!frame.arcs.empty()) last_frame = frame;

@@ -97,8 +97,10 @@ int main(int argc, char** argv) {
     // Pace against the wall clock: sleep until this frame's moment.
     const auto due = wall_start + std::chrono::nanoseconds(f->timestamp.ns);
     std::this_thread::sleep_until(due);
-    while (!pipeline.inject(f->frame, f->timestamp)) {
-    }
+    // Lossless: wait for NIC room, then offer the frame once.
+    while (pipeline.nic().room() == 0) std::this_thread::yield();
+    const RxFrame rx{f->frame, f->timestamp};
+    pipeline.inject_burst({&rx, 1});
 
     if (fps.allow(f->timestamp)) {
       const ArcFrame frame = pipeline.arcs().cut_frame(f->timestamp);

@@ -188,7 +188,6 @@ constexpr auto kConfigKeys = std::to_array<ConfigKey>({
     {"capture.mempool", uint_at<&Cfg::mempool_size>},
     {"capture.mbuf_size", uint_at<&Cfg::mbuf_size>},
     {"capture.symmetric_rss", field_of<KeyKind::kBool, parse_rss_key, &Cfg::rss_key>},
-    {"capture.inject_burst", uint_at<&Cfg::inject_burst_size>, {.lo = 1}},
     {"flow.fast_path", bool_at<&Cfg::worker_fast_path>},
     {"flow.table_capacity", uint_at<&Cfg::flow_table_capacity>, {.hi = kMaxRingSlots}},
     {"flow.stale_after_s", seconds_at<&Cfg::flow_stale_after>},

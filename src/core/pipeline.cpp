@@ -184,11 +184,7 @@ void RuruPipeline::register_metrics() {
   // values race-free. Registered unconditionally — polling only happens
   // at snapshot time, and summary() is a view over these.  Each stats
   // struct's field table (next to the struct) names its counters.
-  // NIC counters merge the whole-port shard and every producer-lane
-  // shard (stats_totals), so the numbers stay truthful under both
-  // single-producer and sharded injection topologies.
-  register_stat_sums(metrics_, kNicStatFields,
-                     [this](auto&& add) { add(nic_->stats_totals()); });
+  register_stat_sums(metrics_, kNicStatFields, [this](auto&& add) { add(nic_->stats()); });
   metrics_.register_counter_fn("mempool.alloc_failures",
                                [this] { return pool_.alloc_failures(); });
   for (std::uint16_t q = 0; q < config_.num_queues; ++q) {
@@ -482,11 +478,6 @@ void RuruPipeline::start() {
                           << (config_.pin_cpus.empty() ? "" : ", pinned topology");
 }
 
-bool RuruPipeline::inject(std::span<const std::uint8_t> frame, Timestamp rx_time) {
-  if (config_.enable_link_meter) link_meter_.on_packet(rx_time, frame.size());
-  return nic_->inject(frame, rx_time);
-}
-
 std::size_t RuruPipeline::inject_burst(std::span<const RxFrame> frames, bool* queued) {
   if (config_.enable_link_meter) {
     // The meter sees the wire, not the queues: every frame counts even
@@ -494,16 +485,6 @@ std::size_t RuruPipeline::inject_burst(std::span<const RxFrame> frames, bool* qu
     for (const RxFrame& f : frames) link_meter_.on_packet(f.rx_time, f.data.size());
   }
   return nic_->inject_burst(frames, queued);
-}
-
-std::size_t RuruPipeline::inject_shard(std::uint16_t queue, std::span<const RxFrame> frames,
-                                       bool* queued) {
-  return nic_->inject_shard(queue, frames, queued);
-}
-
-void RuruPipeline::meter_frames(std::span<const RxFrame> frames) {
-  if (!config_.enable_link_meter) return;
-  for (const RxFrame& f : frames) link_meter_.on_packet(f.rx_time, f.data.size());
 }
 
 void RuruPipeline::finish() {

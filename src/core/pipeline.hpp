@@ -1,17 +1,17 @@
 #pragma once
 // RuruPipeline — the whole Figure-2 system, wired.
 //
-//   inject()  ->  SimNic (symmetric RSS, N queues)
-//             ->  per-queue poll workers (handshake tracking, Figure 1)
-//             ->  bus (topic "ruru.latency", HWM drop)
-//             ->  enrichment pool (geo/AS lookup, IP removal)
-//             ->  sinks: TSDB, city/AS aggregators, arc aggregator,
-//                 anomaly detectors
+//   inject_burst()  ->  SimNic (symmetric RSS, N queues)
+//                   ->  per-queue poll workers (handshake tracking, Figure 1)
+//                   ->  bus (topic "ruru.latency", HWM drop)
+//                   ->  enrichment pool (geo/AS lookup, IP removal)
+//                   ->  sinks: TSDB, city/AS aggregators, arc aggregator,
+//                       anomaly detectors
 //
-// Usage: construct, start(), inject frames (one producer thread),
-// finish().  After finish() the TSDB, aggregators and alert log hold the
-// run's results.  See core/replay.hpp for feeding a TrafficModel or a
-// pcap file.
+// Usage: construct, start(), inject_burst() frames (one producer
+// thread), finish().  After finish() the TSDB, aggregators and alert
+// log hold the run's results.  See core/replay.hpp for feeding a
+// TrafficModel or a pcap file.
 
 #include <atomic>
 #include <memory>
@@ -51,10 +51,9 @@ struct PipelineConfig {
   std::size_t mempool_size = 1 << 16;
   std::size_t mbuf_size = 2048;
   RssKey rss_key = symmetric_rss_key();
-  /// Frames the replayer accumulates before one inject_burst() call
-  /// (one SpscRing release-store per queue per burst). 1 = per-frame
-  /// injection, the pre-burst behaviour.
-  std::size_t inject_burst_size = 32;
+  /// Frames a replayer accumulates before one inject_burst() call (one
+  /// SpscRing release-store per queue per burst).
+  static constexpr std::size_t inject_burst_size = 32;
 
   // --- flow tracking ---
   std::size_t flow_table_capacity = 1 << 16;  ///< per queue
@@ -203,33 +202,12 @@ class RuruPipeline {
   /// Launch worker lcores and the enrichment pool.
   void start();
 
-  /// RX one frame (single producer thread). Returns false on drop.
-  bool inject(std::span<const std::uint8_t> frame, Timestamp rx_time);
-
-  /// RX a burst of frames (single producer thread); see
-  /// SimNic::inject_burst for the staging / one-release-store-per-queue
-  /// contract. Returns frames queued; `queued` (optional, frames.size()
-  /// slots) receives per-frame success.
+  /// RX a burst of frames (single producer thread; the only way into
+  /// the NIC).  Every frame is metered on the link before the NIC sees
+  /// it; see SimNic::inject_burst for staging and drop accounting.
+  /// Returns frames queued; `queued` (optional, frames.size() slots)
+  /// receives per-frame success.
   std::size_t inject_burst(std::span<const RxFrame> frames, bool* queued = nullptr);
-
-  /// Sharded RX: queue `queue`'s own producer lane injects a burst of
-  /// frames pre-partitioned by queue_for() (see SimNic::inject_shard for
-  /// the one-producer-per-lane contract).  Does NOT feed the link meter
-  /// — the meter is single-writer and must see the wire in capture
-  /// order, so a sharded replay coordinator meters once via
-  /// meter_frames() before partitioning.
-  std::size_t inject_shard(std::uint16_t queue, std::span<const RxFrame> frames,
-                           bool* queued = nullptr);
-
-  /// Feed the link meter without injecting (single caller thread, frames
-  /// in capture order): the sharded replay coordinator's wire view.
-  void meter_frames(std::span<const RxFrame> frames);
-
-  /// The NIC's RSS partition function — which queue (and so which
-  /// producer lane) `frame` belongs to.
-  [[nodiscard]] std::uint16_t queue_for(std::span<const std::uint8_t> frame) const {
-    return nic_->queue_for(frame);
-  }
 
   /// Drain everything and stop all threads. Idempotent. After this the
   /// result accessors below are stable.

@@ -2,184 +2,110 @@
 
 #include <algorithm>
 #include <chrono>
-#include <memory>
 #include <thread>
 
 namespace ruru {
 
 namespace {
 
-/// Bounded yield-retry for one dropped frame (lossless accuracy runs:
-/// give the workers time to drain, then count an honest drop).
-bool retry_inject(RuruPipeline& pipeline, std::span<const std::uint8_t> frame, Timestamp ts) {
-  for (int attempt = 0; attempt < 1'000'000; ++attempt) {
-    std::this_thread::yield();
-    if (pipeline.inject(frame, ts)) return true;
-  }
-  return false;  // pipeline wedged; caller counts and moves on
+using WallClock = std::chrono::steady_clock;
+
+double seconds_since(WallClock::time_point start) {
+  return std::chrono::duration<double>(WallClock::now() - start).count();
 }
 
-/// Lane-local variant: retry one frame on its own producer lane.
-bool retry_inject_shard(RuruPipeline& pipeline, std::uint16_t queue, const RxFrame& frame) {
-  for (int attempt = 0; attempt < 1'000'000; ++attempt) {
-    std::this_thread::yield();
-    if (pipeline.inject_shard(queue, {&frame, 1}) == 1) return true;
-  }
-  return false;
-}
-
-/// Accumulates frames and feeds the pipeline in inject_burst() calls —
-/// one SpscRing release-store per queue per burst instead of one per
-/// frame. Frames a burst could not queue are retried individually
-/// (retry_drops) or counted as drops.
-class BurstInjector {
+/// The one feeder behind every replay: accumulates frames and hands them
+/// to inject_burst() in bursts of PipelineConfig::inject_burst_size.
+/// Each frame is offered exactly once, so the link meter sees the wire
+/// once and in order.  Lossless mode waits for room before offering:
+/// it caps each burst at SimNic::room() and yields while that is 0, so
+/// no frame is refused for want of an mbuf or a ring slot (an oversize
+/// frame is still one counted drop).  Lossy mode offers whole bursts
+/// and counts whatever the NIC refuses.
+class BurstFeeder {
  public:
-  BurstInjector(RuruPipeline& pipeline, bool retry_drops, ReplayStats& stats)
-      : pipeline_(pipeline),
-        retry_drops_(retry_drops),
-        stats_(stats),
-        burst_(pipeline.config().inject_burst_size > 0 ? pipeline.config().inject_burst_size : 1),
-        queued_(new bool[burst_]) {
-    frames_.reserve(burst_);
-    refs_.reserve(burst_);
+  BurstFeeder(RuruPipeline& pipeline, bool lossless, ReplayStats& stats)
+      : pipeline_(pipeline), lossless_(lossless), stats_(stats) {
+    frames_.reserve(PipelineConfig::inject_burst_size);
+    refs_.reserve(PipelineConfig::inject_burst_size);
   }
 
   void add(TimedFrame frame) {
     ++stats_.frames;
     stats_.bytes += frame.frame.size();
     frames_.push_back(std::move(frame));
-    if (frames_.size() >= burst_) flush();
+    if (frames_.size() >= PipelineConfig::inject_burst_size) flush();
   }
 
   void flush() {
-    if (frames_.empty()) return;
     refs_.clear();
     for (const TimedFrame& f : frames_) refs_.push_back({f.frame, f.timestamp});
-    pipeline_.inject_burst(refs_, queued_.get());
-    for (std::size_t i = 0; i < frames_.size(); ++i) {
-      if (queued_[i]) continue;
-      if (retry_drops_ && retry_inject(pipeline_, frames_[i].frame, frames_[i].timestamp)) {
-        continue;
-      }
-      ++stats_.inject_drops;
+    for (std::span<const RxFrame> rest(refs_); !rest.empty();) {
+      const std::size_t n = lossless_ ? std::min(rest.size(), wait_for_room()) : rest.size();
+      stats_.inject_drops += n - pipeline_.inject_burst(rest.first(n));
+      rest = rest.subspan(n);
     }
     frames_.clear();
   }
 
  private:
+  [[nodiscard]] std::size_t wait_for_room() const {
+    std::size_t room = 0;
+    while ((room = pipeline_.nic().room()) == 0) std::this_thread::yield();
+    return room;
+  }
+
   RuruPipeline& pipeline_;
-  bool retry_drops_;
+  bool lossless_;
   ReplayStats& stats_;
-  std::size_t burst_;
   std::vector<TimedFrame> frames_;  ///< owns the burst's bytes
   std::vector<RxFrame> refs_;
-  std::unique_ptr<bool[]> queued_;
 };
 
 }  // namespace
 
-ReplayStats replay_scenario(RuruPipeline& pipeline, TrafficModel& model, bool retry_drops) {
+ReplayStats replay_scenario(RuruPipeline& pipeline, TrafficModel& model, bool lossless) {
   ReplayStats stats;
-  const auto start = std::chrono::steady_clock::now();
-  BurstInjector injector(pipeline, retry_drops, stats);
-  while (auto frame = model.next()) injector.add(std::move(*frame));
-  injector.flush();
-  stats.wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
-  return stats;
-}
-
-ReplayStats replay_scenario_sharded(RuruPipeline& pipeline, TrafficModel& model,
-                                    bool retry_drops) {
-  // Pregenerate the whole scenario serially (the model is stateful) and
-  // meter the wire once, in capture order — producer lanes must never
-  // touch the single-writer link meter.
-  std::vector<TimedFrame> wire;
-  while (auto frame = model.next()) wire.push_back(std::move(*frame));
-
-  ReplayStats stats;
-  stats.frames = wire.size();
-  std::vector<RxFrame> refs;
-  refs.reserve(wire.size());
-  for (const TimedFrame& f : wire) {
-    refs.push_back({f.frame, f.timestamp});
-    stats.bytes += f.frame.size();
-  }
-  pipeline.meter_frames(refs);
-
-  // Partition with the NIC's own RSS steering function: lane q carries
-  // exactly the frames queue q would have received from the whole-port
-  // path, so per-queue streams (and thus every worker's view) are
-  // bit-identical to single-producer replay.
-  const std::uint16_t lanes = pipeline.nic().num_queues();
-  std::vector<std::vector<RxFrame>> shard(lanes);
-  for (const RxFrame& f : refs) shard[pipeline.queue_for(f.data)].push_back(f);
-
-  const std::size_t burst =
-      pipeline.config().inject_burst_size > 0 ? pipeline.config().inject_burst_size : 1;
-  std::vector<std::uint64_t> lane_drops(lanes, 0);
-  std::vector<std::thread> producers;
-  producers.reserve(lanes);
-  const auto start = std::chrono::steady_clock::now();
-  for (std::uint16_t q = 0; q < lanes; ++q) {
-    producers.emplace_back([&pipeline, &shard, &lane_drops, burst, retry_drops, q] {
-      const std::vector<RxFrame>& frames = shard[q];
-      std::unique_ptr<bool[]> queued(new bool[burst]);
-      for (std::size_t off = 0; off < frames.size(); off += burst) {
-        const std::size_t n = std::min(burst, frames.size() - off);
-        const std::span<const RxFrame> chunk(frames.data() + off, n);
-        pipeline.inject_shard(q, chunk, queued.get());
-        for (std::size_t i = 0; i < n; ++i) {
-          if (queued[i]) continue;
-          if (retry_drops && retry_inject_shard(pipeline, q, chunk[i])) continue;
-          ++lane_drops[q];
-        }
-      }
-    });
-  }
-  for (auto& t : producers) t.join();
-  stats.wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
-  for (const std::uint64_t d : lane_drops) stats.inject_drops += d;
+  const auto start = WallClock::now();
+  BurstFeeder feeder(pipeline, lossless, stats);
+  while (auto frame = model.next()) feeder.add(std::move(*frame));
+  feeder.flush();
+  stats.wall_seconds = seconds_since(start);
   return stats;
 }
 
 ReplayStats replay_scenario_paced(RuruPipeline& pipeline, TrafficModel& model,
                                   double time_scale) {
-  // Paced replay stays per-frame: injection time is dictated by the wall
-  // clock, so there is never a burst to amortize.
   ReplayStats stats;
   if (time_scale <= 0) time_scale = 1.0;
-  const auto wall_start = std::chrono::steady_clock::now();
+  const auto start = WallClock::now();
+  BurstFeeder feeder(pipeline, /*lossless=*/true, stats);
   while (auto frame = model.next()) {
-    const auto due = wall_start + std::chrono::nanoseconds(static_cast<std::int64_t>(
-                                      static_cast<double>(frame->timestamp.ns) / time_scale));
-    std::this_thread::sleep_until(due);
-    ++stats.frames;
-    stats.bytes += frame->frame.size();
-    if (!pipeline.inject(frame->frame, frame->timestamp) &&
-        !retry_inject(pipeline, frame->frame, frame->timestamp)) {
-      ++stats.inject_drops;
+    const auto due = start + std::chrono::nanoseconds(static_cast<std::int64_t>(
+                                 static_cast<double>(frame->timestamp.ns) / time_scale));
+    if (due > WallClock::now()) {
+      // Hand over every frame already due before sleeping to the next.
+      feeder.flush();
+      std::this_thread::sleep_until(due);
     }
+    feeder.add(std::move(*frame));
   }
-  stats.wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - wall_start).count();
+  feeder.flush();
+  stats.wall_seconds = seconds_since(start);
   return stats;
 }
 
-Result<ReplayStats> replay_pcap(RuruPipeline& pipeline, const std::string& path,
-                                bool retry_drops) {
+Result<ReplayStats> replay_pcap(RuruPipeline& pipeline, const std::string& path, bool lossless) {
   auto reader = PcapReader::open(path);
   if (!reader) return make_error(reader.error());
   ReplayStats stats;
-  const auto start = std::chrono::steady_clock::now();
-  BurstInjector injector(pipeline, retry_drops, stats);
+  const auto start = WallClock::now();
+  BurstFeeder feeder(pipeline, lossless, stats);
   while (auto record = reader.value().next()) {
-    injector.add(TimedFrame{record->timestamp, std::move(record->frame)});
+    feeder.add(TimedFrame{record->timestamp, std::move(record->frame)});
   }
-  injector.flush();
-  stats.wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+  feeder.flush();
+  stats.wall_seconds = seconds_since(start);
   return stats;
 }
 

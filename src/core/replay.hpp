@@ -27,34 +27,22 @@ struct ReplayStats {
   }
 };
 
-/// Drains `model` into `pipeline` (which must be started).
-/// `retry_drops`: when the NIC queue/mempool is momentarily full, retry
-/// instead of dropping — keeps accuracy experiments lossless; throughput
-/// benches set it false to measure honest drop behaviour.
-ReplayStats replay_scenario(RuruPipeline& pipeline, TrafficModel& model,
-                            bool retry_drops = true);
+/// Drains `model` into `pipeline` (which must be started) through
+/// inject_burst(), offering each frame once.  `lossless`: wait for free
+/// mbufs and ring slots before offering a burst instead of dropping —
+/// keeps accuracy experiments lossless; throughput benches set it false
+/// to measure honest drop behaviour.  Oversize frames drop either way.
+ReplayStats replay_scenario(RuruPipeline& pipeline, TrafficModel& model, bool lossless = true);
 
-/// Replays a pcap file into the pipeline.
+/// Replays a pcap file into the pipeline, like replay_scenario().
 Result<ReplayStats> replay_pcap(RuruPipeline& pipeline, const std::string& path,
-                                bool retry_drops = true);
+                                bool lossless = true);
 
-/// Sharded replay: pregenerates the scenario, partitions frames with the
-/// NIC's own RSS partition function (RuruPipeline::queue_for), then runs
-/// one producer thread per RX queue, each injecting only its own shard
-/// via inject_shard().  Because the partition function IS the NIC's
-/// queue-steering hash, every per-queue stream is bit-identical to what
-/// the single-producer path would have enqueued — same workers, same
-/// samples — while injection itself scales across producer lanes instead
-/// of serialising on one thread.  The link meter is fed once by the
-/// coordinator (capture order), not by the lanes.  wall_seconds covers
-/// the parallel injection makespan, excluding pregeneration.
-ReplayStats replay_scenario_sharded(RuruPipeline& pipeline, TrafficModel& model,
-                                    bool retry_drops = true);
-
-/// Paced replay: frames are injected when the wall clock reaches
-/// `frame_time / time_scale` (time_scale 1.0 = real time, 10.0 = 10x
-/// fast-forward). This is how a live demo runs; throughput benches use
-/// the as-fast-as-possible variants above.
+/// Paced replay: frames are injected, losslessly and in bursts of those
+/// already due, when the wall clock reaches `frame_time / time_scale`
+/// (time_scale 1.0 = real time, 10.0 = 10x fast-forward). This is how a
+/// live demo runs; throughput benches use the as-fast-as-possible
+/// variants above.
 ReplayStats replay_scenario_paced(RuruPipeline& pipeline, TrafficModel& model,
                                   double time_scale = 1.0);
 

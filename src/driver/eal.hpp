@@ -52,9 +52,9 @@ class LcoreLauncher {
     return pin_failures_.load(std::memory_order_acquire);
   }
 
-  /// Pin the *calling* thread to `cpu`. Exposed so producer lanes (which
-  /// are not launcher threads) can join the pinned topology. Returns
-  /// false when the pin could not be applied.
+  /// Pin the *calling* thread to `cpu`. Exposed so threads the launcher
+  /// did not start (the enrichment pool's) can join the pinned
+  /// topology. Returns false when the pin could not be applied.
   static bool pin_self(int cpu);
 
  private:

@@ -41,17 +41,9 @@ inline void stamp_trace(Mbuf& m, std::uint32_t hash, std::uint32_t sample_n) {
 SimNic::SimNic(const NicConfig& config, Mempool& pool)
     : config_(config), pool_(pool), rss_table_(config.rss_key) {
   queues_.reserve(config_.num_queues);
-  lane_stats_.resize(config_.num_queues);
-  lane_staging_.resize(config_.num_queues);
   for (std::uint16_t q = 0; q < config_.num_queues; ++q) {
     queues_.push_back(std::make_unique<SpscRing<MbufPtr>>(config_.queue_depth));
   }
-}
-
-NicStats SimNic::stats_totals() const {
-  NicStats total = stats_;  // StatCell copies via relaxed loads
-  for (const NicStats& lane : lane_stats_) merge(total, lane, kNicStatFields);
-  return total;
 }
 
 std::uint32_t SimNic::hash_frame(std::span<const std::uint8_t> frame) const {
@@ -88,22 +80,8 @@ std::uint32_t SimNic::hash_frame(std::span<const std::uint8_t> frame) const {
   return 0;
 }
 
-bool SimNic::inject(std::span<const std::uint8_t> frame, Timestamp rx_time) {
-  const RxFrame rx{frame, rx_time};
-  return inject_burst({&rx, 1}) == 1;
-}
-
 std::size_t SimNic::inject_burst(std::span<const RxFrame> frames, bool* queued) {
-  return stage_and_publish(frames, kWholePort, stats_, staging_, queued);
-}
-
-std::size_t SimNic::inject_shard(std::uint16_t queue, std::span<const RxFrame> frames,
-                                 bool* queued) {
-  return stage_and_publish(frames, queue, lane_stats_[queue], lane_staging_[queue], queued);
-}
-
-std::size_t SimNic::stage_and_publish(std::span<const RxFrame> frames, int lane,
-                                      NicStats& stats, Staging& s, bool* queued) {
+  Staging& s = staging_;
   const std::uint32_t nq = config_.num_queues;
   // Classify: hash every frame and keep the ones that need an mbuf.
   s.kept.clear();
@@ -115,15 +93,8 @@ std::size_t SimNic::stage_and_publish(std::span<const RxFrame> frames, int lane,
     if (queued != nullptr) queued[i] = false;
     const std::uint32_t hash = hash_frame(frames[i].data);
     const std::uint32_t queue = hash % nq;
-    if (lane != kWholePort && queue != static_cast<std::uint32_t>(lane)) {
-      ++stats.dropped_misrouted;
-      RURU_LOG_EVERY_N(kWarn, "driver", 65536)
-          << "lane " << lane << ": frame hashes to queue " << queue
-          << ", dropping (misrouted shard)";
-      continue;
-    }
     if (frames[i].data.size() > pool_.buf_size()) {
-      ++stats.dropped_oversize;
+      ++stats_.dropped_oversize;
       continue;
     }
     if (!s.kept.empty()) one_queue &= queue == s.kept.front().queue;
@@ -135,9 +106,9 @@ std::size_t SimNic::stage_and_publish(std::span<const RxFrame> frames, int lane,
   s.mbufs.resize(s.kept.size());
   const std::size_t got = pool_.alloc_bulk(s.mbufs);
   if (got < s.kept.size()) {
-    stats.dropped_no_mbuf += s.kept.size() - got;
+    stats_.dropped_no_mbuf += s.kept.size() - got;
     RURU_LOG_EVERY_N(kWarn, "driver", 65536)
-        << "mempool exhausted, dropping frames (total " << stats.dropped_no_mbuf << ")";
+        << "mempool exhausted, dropping frames (total " << stats_.dropped_no_mbuf << ")";
   }
   if (got == 0) return 0;
 
@@ -147,8 +118,8 @@ std::size_t SimNic::stage_and_publish(std::span<const RxFrame> frames, int lane,
   // last; only the entries of non-empty queues are ever read.
   s.queue_end.resize(nq);
   if (one_queue) {
-    // Already grouped (one frame, or any sharded lane): the sort is the
-    // identity.
+    // Already grouped (one frame, or a burst of one flow): the sort is
+    // the identity.
     s.queue_end[s.kept.front().queue] = 0;
   } else {
     std::fill(s.queue_end.begin(), s.queue_end.end(), 0);
@@ -185,11 +156,11 @@ std::size_t SimNic::stage_and_publish(std::span<const RxFrame> frames, int lane,
       bytes += frames[s.slot_frame[slot]].data.size();
       if (queued != nullptr) queued[s.slot_frame[slot]] = true;
     }
-    stats.dropped_queue_full += run - pushed;
+    stats_.dropped_queue_full += run - pushed;
     total += pushed;
   }
-  stats.rx_packets += total;
-  stats.rx_bytes += bytes;
+  stats_.rx_packets += total;
+  stats_.rx_bytes += bytes;
   // push_burst moved the queued mbufs out; what is left are ring-full
   // drops, returned under one lock.
   if (total < got) Mempool::free_bulk(std::span<MbufPtr>(s.mbufs).first(got));
@@ -202,6 +173,12 @@ std::size_t SimNic::rx_burst(std::uint16_t queue, std::span<MbufPtr> out) {
 
 std::size_t SimNic::queue_occupancy(std::uint16_t queue) const {
   return queues_[queue]->size();
+}
+
+std::size_t SimNic::room() const {
+  std::size_t room = pool_.available();
+  for (const auto& q : queues_) room = std::min(room, q->capacity() - q->size());
+  return room;
 }
 
 }  // namespace ruru

@@ -2,22 +2,14 @@
 // SimNic — a multi-queue, poll-mode NIC port (simdpdk analogue of an
 // rte_ethdev in RX-only tap mode).
 //
-// Frames are injected by a single producer (the traffic replay); the NIC
-// stamps an RX timestamp, computes the configured RSS hash over the
-// TCP/IP 4-tuple, and enqueues the mbuf on queue `hash % nb_queues`.
-// Worker lcores drain queues with rx_burst(), exactly like rte_eth_rx_burst.
-//
-// Two producer topologies are supported, mutually exclusive per run:
-//  * whole-port single producer — inject()/inject_burst() from one
-//    thread, distributing across all queues (the original contract);
-//  * sharded lanes — one producer thread per queue calling
-//    inject_shard(q, ...), each lane feeding only its own SPSC ring.
-//    The replayer partitions frames by the same Toeplitz hash the NIC
-//    would compute, so lane q carries exactly the frames queue q would
-//    have received — per-queue streams are bit-identical to the
-//    single-producer path, and no ring ever sees two producers.
-// Per-lane stats shards keep the single-writer StatCell contract;
-// stats_totals() merges them for reporting.
+// Frames are injected in bursts by a single producer (the traffic
+// replay); the NIC stamps an RX timestamp, computes the configured RSS
+// hash over the TCP/IP 4-tuple, and enqueues the mbuf on queue
+// `hash % nb_queues`.  Worker lcores drain queues with rx_burst(),
+// exactly like rte_eth_rx_burst.  Like a real port, the emulation has
+// one way in: RSS spreads frames over the queues, so scale-out lives
+// behind the rings (workers, bus fan-in lanes, enrichment pool), not in
+// the producer.
 //
 // Drop accounting mirrors hardware: mempool exhaustion and full RX rings
 // are counted, never blocked on — a latency tap must not apply
@@ -44,9 +36,6 @@ struct NicStats {
   StatCell dropped_no_mbuf = 0;
   StatCell dropped_queue_full = 0;
   StatCell dropped_oversize = 0;
-  /// Sharded injection only: frames handed to a lane whose RSS hash maps
-  /// to a different queue (a replayer partition bug, never silent).
-  StatCell dropped_misrouted = 0;
 };
 
 inline constexpr auto kNicStatFields = std::to_array<StatField<NicStats>>({
@@ -55,7 +44,6 @@ inline constexpr auto kNicStatFields = std::to_array<StatField<NicStats>>({
     {"nic.dropped_no_mbuf", cell_at<&NicStats::dropped_no_mbuf>},
     {"nic.dropped_queue_full", cell_at<&NicStats::dropped_queue_full>},
     {"nic.dropped_oversize", cell_at<&NicStats::dropped_oversize>},
-    {"nic.dropped_misrouted", cell_at<&NicStats::dropped_misrouted>},
 });
 static_assert(stat_table_complete(kNicStatFields));
 
@@ -83,13 +71,7 @@ class SimNic {
   SimNic(const SimNic&) = delete;
   SimNic& operator=(const SimNic&) = delete;
 
-  /// RX path for one frame: a one-frame inject_burst().  Returns true
-  /// when the frame was queued (false -> counted in stats as a drop).
-  /// Same single-producer contract as inject_burst(), whose staging
-  /// scratch it shares: call both from one thread only.
-  bool inject(std::span<const std::uint8_t> frame, Timestamp rx_time);
-
-  /// Whole-port RX path, single producer: hash every frame, fill all the
+  /// The RX path, single producer: hash every frame, fill all the
   /// burst's mbufs from ONE Mempool::alloc_bulk, and publish each
   /// destination queue's run with ONE SpscRing::push_burst.  Ring-full
   /// drops go back to the pool with one Mempool::free_bulk.  Drops are
@@ -97,20 +79,8 @@ class SimNic {
   /// (the burst's tail), then queue full (the tail of a queue's run).
   /// Returns the number of frames queued; when `queued` is non-null it
   /// must have `frames.size()` slots and receives a per-frame success
-  /// flag (so a lossless replayer can retry exactly the failures).
+  /// flag.
   std::size_t inject_burst(std::span<const RxFrame> frames, bool* queued = nullptr);
-
-  /// Sharded RX path: queue `queue`'s own producer lane injects a burst
-  /// of frames that all hash to that queue (the replayer pre-partitions
-  /// by queue_for()).  Same staging, locking and accounting as
-  /// inject_burst(), into the lane's own stats shard; a frame whose hash
-  /// maps to a different queue is counted as a lane misroute and dropped
-  /// (it would corrupt the symmetric-RSS guarantee that both directions
-  /// of a flow share one worker).
-  /// Contract: at most one producer thread per lane, and lanes must not
-  /// run concurrently with whole-port inject()/inject_burst().
-  std::size_t inject_shard(std::uint16_t queue, std::span<const RxFrame> frames,
-                           bool* queued = nullptr);
 
   /// Poll up to `out.size()` mbufs from `queue` (rte_eth_rx_burst).
   /// Safe to call concurrently across *different* queues.  A poller
@@ -118,31 +88,21 @@ class SimNic {
   std::size_t rx_burst(std::uint16_t queue, std::span<MbufPtr> out);
 
   [[nodiscard]] std::uint16_t num_queues() const { return config_.num_queues; }
-  /// Whole-port producer shard only (inject()/inject_burst() callers).
-  /// Sharded-lane traffic lands in lane_stats(); use stats_totals() for
-  /// a topology-independent view.
   [[nodiscard]] const NicStats& stats() const { return stats_; }
-  /// Stats shard written only by queue `queue`'s producer lane.
-  [[nodiscard]] const NicStats& lane_stats(std::uint16_t queue) const {
-    return lane_stats_[queue];
-  }
-  /// Port shard + every lane shard, merged (relaxed loads — safe from
-  /// the metrics snapshot thread).
-  [[nodiscard]] NicStats stats_totals() const;
   [[nodiscard]] std::size_t queue_occupancy(std::uint16_t queue) const;
+  /// Frames the next inject_burst() is sure to queue: the smaller of the
+  /// pool's free mbufs and every ring's free slots.  Only the producer
+  /// can shrink it, so a burst capped at room() loses no frame to a full
+  /// pool or ring (a lossless replayer waits on it instead of retrying).
+  [[nodiscard]] std::size_t room() const;
 
   /// RSS hash the NIC would assign to this frame (exposed for tests).
   [[nodiscard]] std::uint32_t hash_frame(std::span<const std::uint8_t> frame) const;
-  /// Queue the RSS hash of `frame` maps to — the replayer's partition
-  /// function for sharded injection.
-  [[nodiscard]] std::uint16_t queue_for(std::span<const std::uint8_t> frame) const {
-    return static_cast<std::uint16_t>(hash_frame(frame) % config_.num_queues);
-  }
 
  private:
-  /// One producer's reusable burst scratch, touched only by that
-  /// producer's thread; sized by the largest burst seen, so the steady
-  /// state never allocates.
+  /// The producer's reusable burst scratch, touched only by its thread;
+  /// sized by the largest burst seen, so the steady state never
+  /// allocates.
   struct Staging {
     /// A frame that needs an mbuf: its index in the burst, RSS hash and
     /// destination queue.
@@ -156,24 +116,13 @@ class SimNic {
     std::vector<std::uint32_t> slot_frame;  ///< frame index held by each mbuf slot
     std::vector<std::uint32_t> queue_end;   ///< one past each queue's run in `mbufs`
   };
-  static constexpr int kWholePort = -1;
-
-  /// The one staging path behind inject(), inject_burst() and
-  /// inject_shard(): `lane` is kWholePort or the queue every frame must
-  /// hash to.
-  std::size_t stage_and_publish(std::span<const RxFrame> frames, int lane, NicStats& stats,
-                                Staging& s, bool* queued);
 
   NicConfig config_;
   Mempool& pool_;
   ToeplitzTable rss_table_;  ///< derived from config_.rss_key once
   std::vector<std::unique_ptr<SpscRing<MbufPtr>>> queues_;
-  NicStats stats_;      ///< whole-port producer shard
-  Staging staging_;     ///< whole-port producer scratch
-  /// Sharded-injection state, indexed by queue: one stats shard and one
-  /// scratch per lane so N lanes never write one cell or one buffer.
-  std::vector<NicStats> lane_stats_;
-  std::vector<Staging> lane_staging_;
+  NicStats stats_;
+  Staging staging_;
 };
 
 }  // namespace ruru

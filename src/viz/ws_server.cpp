@@ -6,6 +6,8 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <cctype>
 #include <cerrno>
 #include <cstring>
 
@@ -14,6 +16,9 @@
 namespace ruru {
 
 namespace {
+
+/// Bound on each read of a client's upgrade request.
+constexpr timeval kHandshakeTimeout{1, 0};
 
 bool send_all(int fd, const void* data, std::size_t len) {
   const auto* p = static_cast<const std::uint8_t*>(data);
@@ -45,23 +50,31 @@ Result<std::string> read_http_headers(int fd, std::size_t max = 8192) {
   return make_error("ws: oversized handshake request");
 }
 
-/// Case-insensitive header lookup in a raw HTTP block.
+/// Case-insensitive lookup of header field `name` in a raw HTTP block.
+/// Only a header line that starts with the name matches, so
+/// "X-Upgrade: websocket" is not an Upgrade header.
 std::string find_header(const std::string& block, std::string_view name) {
-  auto lower = [](std::string s) {
-    for (char& c : s) c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-    return s;
+  const auto same = [](char a, char b) {
+    return std::tolower(static_cast<unsigned char>(a)) ==
+           std::tolower(static_cast<unsigned char>(b));
   };
-  const std::string haystack = lower(block);
-  const std::string needle = lower(std::string(name)) + ":";
-  const std::size_t pos = haystack.find(needle);
-  if (pos == std::string::npos) return {};
-  const std::size_t start = pos + needle.size();
-  const std::size_t end = block.find("\r\n", start);
-  std::string value = block.substr(start, end - start);
-  const std::size_t first = value.find_first_not_of(' ');
-  const std::size_t last = value.find_last_not_of(' ');
-  if (first == std::string::npos) return {};
-  return value.substr(first, last - first + 1);
+  // Header lines follow the request line and end at the blank line.
+  for (std::size_t start = block.find("\r\n"); start != std::string::npos;) {
+    start += 2;
+    const std::size_t end = block.find("\r\n", start);
+    if (end == std::string::npos || end == start) break;
+    const std::string_view line(block.data() + start, end - start);
+    start = end;
+    if (line.size() <= name.size() || line[name.size()] != ':' ||
+        !std::equal(name.begin(), name.end(), line.begin(), same)) {
+      continue;
+    }
+    const std::string_view value = line.substr(name.size() + 1);
+    const std::size_t first = value.find_first_not_of(' ');
+    if (first == std::string_view::npos) return {};
+    return std::string(value.substr(first, value.find_last_not_of(' ') - first + 1));
+  }
+  return {};
 }
 
 }  // namespace
@@ -118,6 +131,9 @@ void WsServer::accept_loop() {
 }
 
 bool WsServer::perform_upgrade(int fd) {
+  // One accept thread upgrades every client, so a client that connects
+  // and stays silent must not hold it (or close()) for longer than this.
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &kHandshakeTimeout, sizeof kHandshakeTimeout);
   auto request = read_http_headers(fd);
   if (!request) return false;
   const std::string& req = request.value();

@@ -46,7 +46,8 @@ class WsServer {
 
  private:
   void accept_loop();
-  /// Reads the HTTP request, validates the upgrade, replies 101.
+  /// Reads the HTTP request (each read bounded by a fixed receive
+  /// timeout), validates the upgrade, replies 101.
   bool perform_upgrade(int fd);
 
   int listen_fd_ = -1;

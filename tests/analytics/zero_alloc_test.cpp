@@ -19,6 +19,7 @@
 #include "flow/handshake_tracker.hpp"
 #include "flow/worker.hpp"
 #include "geo/world.hpp"
+#include "inject_one.hpp"
 #include "net/packet_builder.hpp"
 
 namespace {
@@ -258,8 +259,8 @@ TEST(ZeroAlloc, InflowKernelSteadyStateDoesNotAllocate) {
 }
 
 /// Full flow lifecycles through the NIC and the vector worker loop,
-/// injected one frame per inject() call or as whole inject_burst()
-/// bursts; 100 warm rounds must not touch the heap.
+/// injected as one-frame inject_burst() calls or as whole bursts; 100
+/// warm rounds must not touch the heap.
 void expect_vector_poll_loop_steady_state_is_allocation_free(bool burst_inject) {
   // The whole vectorized worker path — NIC inject, rx_burst, the SoA
   // descriptor fill, batched pre-parse + branchless classify, batched
@@ -319,7 +320,7 @@ void expect_vector_poll_loop_steady_state_is_allocation_free(bool burst_inject) 
       if (burst_inject) {
         burst[i] = RxFrame{frames[i], t};
       } else {
-        nic.inject(frames[i], t);
+        inject_one(nic, frames[i], t);
       }
     }
     if (burst_inject) {

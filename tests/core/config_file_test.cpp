@@ -424,7 +424,6 @@ TEST(PipelineConfigFile, KeyCatalogue) {
       "bus.batch",
       "bus.batch_linger_s",
       "bus.hwm",
-      "capture.inject_burst",
       "capture.mbuf_size",
       "capture.mempool",
       "capture.queue_depth",
@@ -486,7 +485,6 @@ TEST(PipelineConfigFile, KeyCatalogue) {
       {"analytics.threads", {"1", "18446744073709551615"}},
       {"bus.batch", {"1", "18446744073709551615"}},
       {"bus.hwm", {"0", "2147483648"}},
-      {"capture.inject_burst", {"1", "18446744073709551615"}},
       {"capture.mbuf_size", {"0", "18446744073709551615"}},
       {"capture.mempool", {"0", "18446744073709551615"}},
       {"capture.queue_depth", {"0", "2147483648"}},

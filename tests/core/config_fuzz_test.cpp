@@ -24,7 +24,6 @@ constexpr const char* kEveryKey =
     "mempool = 65536\n"
     "mbuf_size = 2048\n"
     "symmetric_rss = true\n"
-    "inject_burst = 32\n"
     "[flow]\n"
     "fast_path = true\n"
     "table_capacity = 65536\n"

@@ -77,7 +77,6 @@ void expect_stat_cells_match(const PipelineSummary& s, const obs::MetricsSnapsho
   EXPECT_EQ(s.nic.dropped_no_mbuf, c("nic.dropped_no_mbuf"));
   EXPECT_EQ(s.nic.dropped_queue_full, c("nic.dropped_queue_full"));
   EXPECT_EQ(s.nic.dropped_oversize, c("nic.dropped_oversize"));
-  EXPECT_EQ(s.nic.dropped_misrouted, c("nic.dropped_misrouted"));
 
   EXPECT_EQ(s.workers.polls, c("worker.polls"));
   EXPECT_EQ(s.workers.empty_polls, c("worker.empty_polls"));
@@ -181,7 +180,6 @@ TEST_F(PipelineMetricsTest, MetricNamesMatchTheCatalog) {
       "health.dumps",
       "health.stalls",
       "mempool.alloc_failures",
-      "nic.dropped_misrouted",
       "nic.dropped_no_mbuf",
       "nic.dropped_oversize",
       "nic.dropped_queue_full",
@@ -239,7 +237,7 @@ TEST_F(PipelineMetricsTest, MetricNamesMatchTheCatalog) {
   EXPECT_EQ(sorted_names(snap.counters), counters);
   EXPECT_EQ(sorted_names(snap.gauges), gauges);
   EXPECT_EQ(sorted_names(snap.histograms), histograms);
-  EXPECT_EQ(counters.size(), 60u);
+  EXPECT_EQ(counters.size(), 59u);
   EXPECT_EQ(gauges.size(), 4u);
   EXPECT_EQ(histograms.size(), 12u);
 }

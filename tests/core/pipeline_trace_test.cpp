@@ -66,7 +66,7 @@ std::vector<SampleFacts> run_and_collect(const World& world, std::uint32_t sampl
 
   pipeline.start();
   auto model = scenarios::transpacific(0xF162, 1500.0, Duration::from_sec(3.0));
-  replay_scenario_sharded(pipeline, model, /*retry_drops=*/true);
+  replay_scenario(pipeline, model);
   pipeline.finish();
   std::sort(samples.begin(), samples.end());
   return samples;
@@ -87,7 +87,7 @@ TEST(PipelineTrace, SampledFlowsLeaveConnectedSpanChains) {
   RuruPipeline pipeline(cfg, world.geo, world.as);
   pipeline.start();
   auto model = scenarios::transpacific(0xF162, 1500.0, Duration::from_sec(3.0));
-  replay_scenario_sharded(pipeline, model, /*retry_drops=*/true);
+  replay_scenario(pipeline, model);
   pipeline.finish();
 
   ASSERT_GT(pipeline.summary().tracker.samples_emitted, 0u);
@@ -149,7 +149,7 @@ TEST(PipelineTrace, ExportsChromeJsonOnFinish) {
   RuruPipeline pipeline(cfg, world.geo, world.as);
   pipeline.start();
   auto model = scenarios::transpacific(0xF162, 1000.0, Duration::from_sec(2.0));
-  replay_scenario(pipeline, model, /*retry_drops=*/true);
+  replay_scenario(pipeline, model, /*lossless=*/true);
   pipeline.finish();
 
   std::ifstream f(path);
@@ -184,7 +184,7 @@ TEST(PipelineTrace, DisabledTracerEmitsNothing) {
   RuruPipeline pipeline(cfg, world.geo, world.as);
   pipeline.start();
   auto model = scenarios::transpacific(0xF162, 500.0, Duration::from_sec(1.0));
-  replay_scenario(pipeline, model, /*retry_drops=*/true);
+  replay_scenario(pipeline, model, /*lossless=*/true);
   pipeline.finish();
   EXPECT_FALSE(pipeline.tracer().enabled());
   EXPECT_EQ(pipeline.tracer().events_emitted(), 0u);
@@ -206,7 +206,7 @@ TEST(PipelineTrace, WatchdogRunsCleanOnAHealthyPipeline) {
   pipeline.start();
   ASSERT_NE(pipeline.watchdog(), nullptr);
   auto model = scenarios::transpacific(0xF162, 1000.0, Duration::from_sec(2.0));
-  replay_scenario(pipeline, model, /*retry_drops=*/true);
+  replay_scenario(pipeline, model, /*lossless=*/true);
   pipeline.watchdog()->request_dump();
   pipeline.watchdog()->poll_now();
   pipeline.finish();

@@ -8,6 +8,7 @@
 #include "core/pipeline.hpp"
 #include "core/replay.hpp"
 #include "geo/world.hpp"
+#include "inject_one.hpp"
 #include "net/packet_builder.hpp"
 #include "util/random.hpp"
 
@@ -32,7 +33,7 @@ TEST(Robustness, RandomGarbageFramesNeverCrashThePipeline) {
   for (int i = 0; i < 20'000; ++i) {
     frame.resize(rng.bounded(512));
     for (auto& b : frame) b = static_cast<std::uint8_t>(rng.next_u32());
-    pipeline.inject(frame, Timestamp::from_us(i));
+    inject_one(pipeline, frame, Timestamp::from_us(i));
   }
   pipeline.finish();
 
@@ -60,7 +61,8 @@ TEST(Robustness, TruncatedRealFramesAreRejectedNotMeasured) {
   spec.flags = TcpFlags::kSyn;
   const auto full = build_tcp_frame(spec);
   for (std::size_t cut = 1; cut < full.size(); ++cut) {
-    pipeline.inject(std::span<const std::uint8_t>(full.data(), cut), Timestamp::from_us(cut));
+    inject_one(pipeline, std::span<const std::uint8_t>(full.data(), cut),
+               Timestamp::from_us(cut));
   }
   pipeline.finish();
   EXPECT_EQ(pipeline.summary().tracker.samples_emitted, 0u);
@@ -75,7 +77,7 @@ TEST(Robustness, TinyMempoolDropsAreCountedNotFatal) {
   RuruPipeline pipeline(cfg, world.geo, world.as);
   pipeline.start();
   auto model = scenarios::transpacific(3, 500.0, Duration::from_sec(1.0));
-  const auto stats = replay_scenario(pipeline, model, /*retry_drops=*/false);
+  const auto stats = replay_scenario(pipeline, model, /*lossless=*/false);
   pipeline.finish();
 
   const auto s = pipeline.summary();
@@ -136,7 +138,7 @@ TEST(Robustness, InjectAfterFinishIsHarmless) {
   // Frames injected after shutdown queue up but are never processed —
   // and nothing crashes.
   const auto frame = build_non_ip_frame();
-  pipeline.inject(frame, Timestamp{});
+  inject_one(pipeline, frame, Timestamp{});
   SUCCEED();
 }
 

@@ -1,8 +1,8 @@
-// Multi-core scale-out invariants (ISSUE 6): whatever the worker count,
-// the measurement output is bit-identical — symmetric RSS pins both
-// directions of a flow to one queue, sharded producer lanes enqueue
-// per-queue streams identical to the single-producer path, and the bus
-// fan-in lanes conserve every sample (delivered + dropped == published).
+// Multi-core scale-out invariants: whatever the worker count, the
+// measurement output is bit-identical — symmetric RSS shards the trace
+// over the queues with both directions of a flow on one queue, each
+// worker sees its shard in arrival order, and the bus fan-in lanes
+// conserve every sample (delivered + dropped == published).
 
 #include <gtest/gtest.h>
 
@@ -55,7 +55,7 @@ struct RunResult {
   std::uint64_t sub_dropped = 0;
 };
 
-RunResult run_sharded(const World& world, std::uint16_t workers) {
+RunResult run_replay(const World& world, std::uint16_t workers) {
   PipelineConfig cfg;
   cfg.num_queues = workers;
   cfg.queue_depth = 8192;
@@ -74,7 +74,7 @@ RunResult run_sharded(const World& world, std::uint16_t workers) {
 
   pipeline.start();
   auto model = scenarios::transpacific(0xF162, 1500.0, Duration::from_sec(3.0));
-  replay_scenario_sharded(pipeline, model, /*retry_drops=*/true);
+  replay_scenario(pipeline, model);
   pipeline.finish();
 
   const PipelineSummary sum = pipeline.summary();
@@ -89,12 +89,12 @@ RunResult run_sharded(const World& world, std::uint16_t workers) {
 
 TEST(Scaling, ShardedNWorkersBitIdenticalTo1Worker) {
   const World world = scenario_world();
-  const RunResult one = run_sharded(world, 1);
+  const RunResult one = run_replay(world, 1);
   ASSERT_GT(one.emitted, 0u);
   ASSERT_EQ(one.samples.size(), one.emitted);
 
   for (const std::uint16_t workers : {std::uint16_t{2}, std::uint16_t{4}}) {
-    const RunResult n = run_sharded(world, workers);
+    const RunResult n = run_replay(world, workers);
     EXPECT_EQ(n.emitted, one.emitted) << workers << " workers";
     EXPECT_EQ(n.handshakes, one.handshakes) << workers << " workers";
     // Not just the counts: every per-flow timing fact matches, sample
@@ -106,7 +106,7 @@ TEST(Scaling, ShardedNWorkersBitIdenticalTo1Worker) {
 TEST(Scaling, FanInConservesEverySample) {
   const World world = scenario_world();
   for (const std::uint16_t workers : {std::uint16_t{1}, std::uint16_t{2}, std::uint16_t{4}}) {
-    const RunResult r = run_sharded(world, workers);
+    const RunResult r = run_replay(world, workers);
     // Worker-emitted samples all reach the bus (lossless replay, no HWM
     // pressure at this rate), and every published sample is accounted
     // for at our subscriber: accepted or dropped, never silently lost.
@@ -139,32 +139,12 @@ TEST(Scaling, PinnedTopologyCountsApplyOrFailSoft) {
     RuruPipeline pipeline(cfg, world.geo, world.as);
     pipeline.start();
     auto model = scenarios::transpacific(0xF162, 500.0, Duration::from_sec(1.0));
-    replay_scenario_sharded(pipeline, model, /*retry_drops=*/true);
+    replay_scenario(pipeline, model);
     pipeline.finish();
     EXPECT_EQ(pipeline.lcores().pinned(), 1u);
     EXPECT_EQ(pipeline.lcores().pin_failures(), 1u);
     EXPECT_GT(pipeline.summary().tracker.samples_emitted, 0u);
   }
-}
-
-TEST(Scaling, ShardedReplayMatchesWholePortReplay) {
-  const World world = scenario_world();
-  // Same trace through the single-producer whole-port path: the sharded
-  // lanes must reproduce its output exactly (they are the same streams).
-  PipelineConfig cfg;
-  cfg.num_queues = 4;
-  cfg.queue_depth = 8192;
-  cfg.enrichment_threads = 1;
-  cfg.flow_table_capacity = 1 << 14;
-  RuruPipeline whole(cfg, world.geo, world.as);
-  whole.start();
-  auto model = scenarios::transpacific(0xF162, 1500.0, Duration::from_sec(3.0));
-  replay_scenario(whole, model, /*retry_drops=*/true);
-  whole.finish();
-
-  const RunResult sharded = run_sharded(world, 4);
-  EXPECT_EQ(sharded.emitted, whole.summary().tracker.samples_emitted);
-  EXPECT_EQ(sharded.handshakes, whole.summary().tracker.ack_matched);
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 
 #include "net/packet_builder.hpp"
 #include "net/packet_view.hpp"
+#include "inject_one.hpp"
 #include "obs/trace.hpp"
 
 namespace ruru {
@@ -35,7 +36,7 @@ TEST_F(SimNicTest, InjectAndBurstReceive) {
   cfg.num_queues = 1;
   SimNic nic(cfg, pool_);
   const auto frame = syn_frame(Ipv4Address(10, 0, 0, 1), 1000, Ipv4Address(10, 0, 0, 2), 80);
-  ASSERT_TRUE(nic.inject(frame, Timestamp::from_ms(5)));
+  ASSERT_TRUE(inject_one(nic, frame, Timestamp::from_ms(5)));
   EXPECT_EQ(nic.stats().rx_packets, 1u);
   EXPECT_EQ(nic.stats().rx_bytes, frame.size());
 
@@ -90,7 +91,7 @@ TEST_F(SimNicTest, QueueFullDrops) {
   const auto frame = syn_frame(Ipv4Address(1, 1, 1, 1), 1, Ipv4Address(2, 2, 2, 2), 2);
   int accepted = 0;
   for (int i = 0; i < 40; ++i) {
-    if (nic.inject(frame, Timestamp{})) ++accepted;
+    if (inject_one(nic, frame, Timestamp{})) ++accepted;
   }
   EXPECT_EQ(accepted, 16);
   EXPECT_EQ(nic.stats().dropped_queue_full, 24u);
@@ -103,14 +104,14 @@ TEST_F(SimNicTest, MempoolExhaustionDrops) {
   cfg.num_queues = 1;
   SimNic nic(cfg, tiny);
   const auto frame = syn_frame(Ipv4Address(1, 1, 1, 1), 1, Ipv4Address(2, 2, 2, 2), 2);
-  for (int i = 0; i < 10; ++i) nic.inject(frame, Timestamp{});
+  for (int i = 0; i < 10; ++i) inject_one(nic, frame, Timestamp{});
   EXPECT_EQ(nic.stats().rx_packets, 4u);
   EXPECT_EQ(nic.stats().dropped_no_mbuf, 6u);
   // Draining the queue frees mbufs for new packets.
   std::array<MbufPtr, 8> burst;
   EXPECT_EQ(nic.rx_burst(0, burst), 4u);
   for (auto& b : burst) b.reset();
-  EXPECT_TRUE(nic.inject(frame, Timestamp{}));
+  EXPECT_TRUE(inject_one(nic, frame, Timestamp{}));
 }
 
 TEST_F(SimNicTest, OversizeFrameDropped) {
@@ -124,7 +125,7 @@ TEST_F(SimNicTest, OversizeFrameDropped) {
   spec.payload_length = 100;  // 154-byte frame vs 64-byte buffers
   const auto frame = build_tcp_frame(spec);
   ASSERT_GT(frame.size(), 64u);
-  EXPECT_FALSE(nic.inject(frame, Timestamp{}));
+  EXPECT_FALSE(inject_one(nic, frame, Timestamp{}));
   EXPECT_EQ(nic.stats().dropped_oversize, 1u);
 }
 
@@ -133,7 +134,7 @@ TEST_F(SimNicTest, NonIpHashesToQueueZero) {
   cfg.num_queues = 4;
   SimNic nic(cfg, pool_);
   const auto arp = build_non_ip_frame();
-  ASSERT_TRUE(nic.inject(arp, Timestamp{}));
+  ASSERT_TRUE(inject_one(nic, arp, Timestamp{}));
   std::array<MbufPtr, 4> burst;
   EXPECT_EQ(nic.rx_burst(0, burst), 1u);
 }
@@ -149,7 +150,7 @@ TEST_F(SimNicTest, MalformedIhlHashesToQueueZero) {
   // same treatment as any other non-TCP frame.
   frame[14] = 0x44;  // version 4, ihl 4
   EXPECT_EQ(nic.hash_frame(frame), 0u);
-  ASSERT_TRUE(nic.inject(frame, Timestamp{}));
+  ASSERT_TRUE(inject_one(nic, frame, Timestamp{}));
   std::array<MbufPtr, 4> burst;
   EXPECT_EQ(nic.rx_burst(0, burst), 1u);
 }
@@ -170,7 +171,8 @@ TEST_F(SimNicTest, InjectBurstMatchesPerFrameInject) {
   std::vector<RxFrame> burst;
   for (std::size_t i = 0; i < frames.size(); ++i) {
     burst.push_back({frames[i], Timestamp::from_us(static_cast<std::int64_t>(i))});
-    ASSERT_TRUE(frame_nic.inject(frames[i], Timestamp::from_us(static_cast<std::int64_t>(i))));
+    ASSERT_TRUE(
+        inject_one(frame_nic, frames[i], Timestamp::from_us(static_cast<std::int64_t>(i))));
   }
   const auto queued = std::make_unique<bool[]>(frames.size());
   EXPECT_EQ(burst_nic.inject_burst(burst, queued.get()), frames.size());
@@ -254,7 +256,7 @@ TEST_F(SimNicTest, RssHashStoredInMbufMatchesHashFrame) {
   SimNic nic(cfg, pool_);
   const auto frame = syn_frame(Ipv4Address(10, 1, 0, 7), 32000, Ipv4Address(10, 2, 0, 3), 80);
   const std::uint32_t expected = nic.hash_frame(frame);
-  ASSERT_TRUE(nic.inject(frame, Timestamp{}));
+  ASSERT_TRUE(inject_one(nic, frame, Timestamp{}));
   const auto queue = static_cast<std::uint16_t>(expected % 4);
   std::array<MbufPtr, 4> burst;
   ASSERT_EQ(nic.rx_burst(queue, burst), 1u);
@@ -262,107 +264,14 @@ TEST_F(SimNicTest, RssHashStoredInMbufMatchesHashFrame) {
   EXPECT_EQ(burst[0]->queue_id, queue);
 }
 
-TEST_F(SimNicTest, InjectShardDeliversToItsLane) {
-  NicConfig cfg;
-  cfg.num_queues = 4;
-  SimNic nic(cfg, pool_);
-  const auto frame = syn_frame(Ipv4Address(10, 1, 0, 7), 32000, Ipv4Address(10, 2, 0, 3), 80);
-  const std::uint16_t q = nic.queue_for(frame);
-
-  const RxFrame rx{frame, Timestamp::from_ms(9)};
-  bool queued = false;
-  EXPECT_EQ(nic.inject_shard(q, {&rx, 1}, &queued), 1u);
-  EXPECT_TRUE(queued);
-
-  std::array<MbufPtr, 4> burst;
-  ASSERT_EQ(nic.rx_burst(q, burst), 1u);
-  EXPECT_EQ(burst[0]->timestamp, Timestamp::from_ms(9));
-  EXPECT_EQ(burst[0]->queue_id, q);
-  EXPECT_EQ(nic.lane_stats(q).rx_packets, 1u);
+/// The queue `nic`'s RSS steers `frame` to.
+std::uint16_t queue_of(const SimNic& nic, std::span<const std::uint8_t> frame) {
+  return static_cast<std::uint16_t>(nic.hash_frame(frame) % nic.num_queues());
 }
 
-TEST_F(SimNicTest, InjectShardDropsMisroutedFrame) {
-  NicConfig cfg;
-  cfg.num_queues = 4;
-  SimNic nic(cfg, pool_);
-  const auto frame = syn_frame(Ipv4Address(10, 1, 0, 7), 32000, Ipv4Address(10, 2, 0, 3), 80);
-  const std::uint16_t q = nic.queue_for(frame);
-  const auto wrong = static_cast<std::uint16_t>((q + 1) % 4);
-
-  const RxFrame rx{frame, Timestamp{}};
-  bool queued = true;
-  // A frame whose hash steers elsewhere would break the symmetric-RSS
-  // worker-affinity guarantee: the lane refuses it.
-  EXPECT_EQ(nic.inject_shard(wrong, {&rx, 1}, &queued), 0u);
-  EXPECT_FALSE(queued);
-  EXPECT_EQ(nic.lane_stats(wrong).dropped_misrouted, 1u);
-  std::array<MbufPtr, 4> burst;
-  EXPECT_EQ(nic.rx_burst(wrong, burst), 0u);
-  EXPECT_EQ(nic.rx_burst(q, burst), 0u);
-}
-
-TEST_F(SimNicTest, InjectShardMatchesWholePortStreams) {
-  // The same mixed-flow burst through (a) whole-port inject and (b)
-  // pre-partitioned lanes must produce identical per-queue streams.
-  NicConfig cfg;
-  cfg.num_queues = 2;
-  SimNic whole(cfg, pool_);
-  Mempool pool2(1024, 2048);
-  SimNic sharded(cfg, pool2);
-
-  std::vector<std::vector<std::uint8_t>> frames;
-  for (int i = 0; i < 16; ++i) {
-    frames.push_back(syn_frame(Ipv4Address(10, 1, 0, static_cast<std::uint8_t>(i)),
-                               static_cast<std::uint16_t>(30000 + i), Ipv4Address(10, 2, 0, 1),
-                               443));
-  }
-  std::vector<std::vector<RxFrame>> shards(2);
-  std::int64_t t = 0;
-  for (const auto& f : frames) {
-    const Timestamp ts = Timestamp::from_ns(++t);
-    ASSERT_TRUE(whole.inject(f, ts));
-    shards[sharded.queue_for(f)].push_back({f, ts});
-  }
-  for (std::uint16_t q = 0; q < 2; ++q) {
-    ASSERT_EQ(sharded.inject_shard(q, shards[q]), shards[q].size());
-  }
-
-  for (std::uint16_t q = 0; q < 2; ++q) {
-    std::array<MbufPtr, 32> a;
-    std::array<MbufPtr, 32> b;
-    const std::size_t na = whole.rx_burst(q, a);
-    const std::size_t nb = sharded.rx_burst(q, b);
-    ASSERT_EQ(na, nb) << "queue " << q;
-    for (std::size_t i = 0; i < na; ++i) {
-      EXPECT_EQ(a[i]->timestamp, b[i]->timestamp);
-      EXPECT_EQ(a[i]->rss_hash, b[i]->rss_hash);
-      ASSERT_EQ(a[i]->length(), b[i]->length());
-      EXPECT_EQ(std::memcmp(a[i]->data(), b[i]->data(), a[i]->length()), 0);
-    }
-  }
-}
-
-TEST_F(SimNicTest, StatsTotalsMergePortAndLanes) {
-  NicConfig cfg;
-  cfg.num_queues = 2;
-  SimNic nic(cfg, pool_);
-  const auto f1 = syn_frame(Ipv4Address(10, 1, 0, 1), 30001, Ipv4Address(10, 2, 0, 1), 443);
-  const auto f2 = syn_frame(Ipv4Address(10, 1, 0, 2), 30002, Ipv4Address(10, 2, 0, 1), 443);
-
-  ASSERT_TRUE(nic.inject(f1, Timestamp{}));  // whole-port path
-  const RxFrame rx{f2, Timestamp{}};
-  ASSERT_EQ(nic.inject_shard(nic.queue_for(f2), {&rx, 1}), 1u);  // lane path
-
-  const NicStats totals = nic.stats_totals();
-  EXPECT_EQ(totals.rx_packets, 2u);
-  EXPECT_EQ(totals.rx_bytes, f1.size() + f2.size());
-}
-
-/// `n` distinct SYN frames that all hash to queue `q` (or, with
-/// `routed` false, to any other queue) under `nic`'s RSS.
+/// `n` distinct SYN frames that all hash to queue `q` under `nic`'s RSS.
 std::vector<std::vector<std::uint8_t>> frames_for_queue(const SimNic& nic, std::uint16_t q,
-                                                        bool routed, std::size_t n,
-                                                        std::size_t payload = 0) {
+                                                        std::size_t n, std::size_t payload = 0) {
   std::vector<std::vector<std::uint8_t>> out;
   for (std::uint16_t port = 1000; out.size() < n; ++port) {
     TcpFrameSpec spec;
@@ -373,40 +282,9 @@ std::vector<std::vector<std::uint8_t>> frames_for_queue(const SimNic& nic, std::
     spec.flags = TcpFlags::kSyn;
     spec.payload_length = payload;
     auto f = build_tcp_frame(spec);
-    if ((nic.queue_for(f) == q) == routed) out.push_back(std::move(f));
+    if (queue_of(nic, f) == q) out.push_back(std::move(f));
   }
   return out;
-}
-
-TEST_F(SimNicTest, InjectShardAllocFailuresMatchNoMbufDrops) {
-  // 7 routed + 3 misrouted frames into a 4-mbuf pool: only the 3 routed
-  // frames left without a buffer are alloc failures.
-  Mempool tiny(4, 128);
-  NicConfig cfg;
-  cfg.num_queues = 2;
-  SimNic nic(cfg, tiny);
-  const auto routed = frames_for_queue(nic, 0, true, 7);
-  const auto misrouted = frames_for_queue(nic, 0, false, 3);
-  std::vector<RxFrame> burst;
-  for (std::size_t i = 0; i < routed.size(); ++i) {
-    burst.push_back({routed[i], Timestamp{}});
-    if (i < misrouted.size()) burst.push_back({misrouted[i], Timestamp{}});
-  }
-  EXPECT_EQ(nic.inject_shard(0, burst), 4u);
-  const NicStats& lane = nic.lane_stats(0);
-  EXPECT_EQ(lane.dropped_misrouted, 3u);
-  EXPECT_EQ(lane.dropped_no_mbuf, 3u);
-  EXPECT_EQ(tiny.alloc_failures(), 3u);
-
-  // A second burst into the exhausted pool, now with oversize frames too.
-  const auto big = frames_for_queue(nic, 0, true, 2, 200);
-  burst.push_back({big[0], Timestamp{}});
-  burst.insert(burst.begin(), RxFrame{big[1], Timestamp{}});
-  EXPECT_EQ(nic.inject_shard(0, burst), 0u);
-  EXPECT_EQ(lane.dropped_misrouted, 6u);
-  EXPECT_EQ(lane.dropped_oversize, 2u);
-  EXPECT_EQ(lane.dropped_no_mbuf, 10u);
-  EXPECT_EQ(tiny.alloc_failures(), lane.dropped_no_mbuf.load());
 }
 
 TEST_F(SimNicTest, InjectBurstAllocFailuresMatchNoMbufDrops) {
@@ -414,9 +292,9 @@ TEST_F(SimNicTest, InjectBurstAllocFailuresMatchNoMbufDrops) {
   NicConfig cfg;
   cfg.num_queues = 2;
   SimNic nic(cfg, tiny);
-  const auto q0 = frames_for_queue(nic, 0, true, 4);
-  const auto q1 = frames_for_queue(nic, 1, true, 4);
-  const auto big = frames_for_queue(nic, 0, true, 3, 200);
+  const auto q0 = frames_for_queue(nic, 0, 4);
+  const auto q1 = frames_for_queue(nic, 1, 4);
+  const auto big = frames_for_queue(nic, 0, 3, 200);
   std::vector<RxFrame> burst;
   for (std::size_t i = 0; i < 4; ++i) {
     burst.push_back({q0[i], Timestamp::from_ns(static_cast<std::int64_t>(i))});
@@ -438,9 +316,9 @@ TEST_F(SimNicTest, InjectBurstAllocFailuresMatchNoMbufDrops) {
     if (fits) ++fitting;
   }
 
-  // One more burst into the exhausted pool through the one-frame path.
-  EXPECT_FALSE(nic.inject(q0[0], Timestamp{}));
-  EXPECT_FALSE(nic.inject(big[0], Timestamp{}));
+  // Two one-frame bursts into the exhausted pool.
+  EXPECT_FALSE(inject_one(nic, q0[0], Timestamp{}));
+  EXPECT_FALSE(inject_one(nic, big[0], Timestamp{}));
   EXPECT_EQ(nic.stats().dropped_no_mbuf, 5u);
   EXPECT_EQ(nic.stats().dropped_oversize, 4u);
   EXPECT_EQ(tiny.alloc_failures(), nic.stats().dropped_no_mbuf.load());
@@ -451,8 +329,8 @@ TEST_F(SimNicTest, RingFullDropsGoBackToThePool) {
   cfg.num_queues = 2;
   cfg.queue_depth = 4;
   SimNic nic(cfg, pool_);
-  const auto q0 = frames_for_queue(nic, 0, true, 10);
-  const auto q1 = frames_for_queue(nic, 1, true, 3);
+  const auto q0 = frames_for_queue(nic, 0, 10);
+  const auto q1 = frames_for_queue(nic, 1, 3);
   std::vector<RxFrame> burst;
   for (const auto& f : q0) burst.push_back({f, Timestamp{}});
   for (const auto& f : q1) burst.push_back({f, Timestamp{}});
@@ -470,6 +348,31 @@ TEST_F(SimNicTest, RingFullDropsGoBackToThePool) {
   EXPECT_EQ(pool_.alloc_failures(), 0u);
 }
 
+TEST_F(SimNicTest, RoomIsTheSmallerOfFreeMbufsAndRingSlots) {
+  Mempool tiny(6, 2048);
+  NicConfig cfg;
+  cfg.num_queues = 2;
+  cfg.queue_depth = 4;
+  SimNic nic(cfg, tiny);
+  EXPECT_EQ(nic.room(), 4u);  // every ring has 4 slots, the pool 6 mbufs
+  const auto q0 = frames_for_queue(nic, 0, 3);
+  std::vector<RxFrame> burst;
+  for (const auto& f : q0) burst.push_back({f, Timestamp{}});
+  ASSERT_EQ(nic.inject_burst(burst), 3u);
+  EXPECT_EQ(nic.room(), 1u);  // queue 0's ring has one slot left
+  const auto q1 = frames_for_queue(nic, 1, 2);
+  burst.clear();
+  for (const auto& f : q1) burst.push_back({f, Timestamp{}});
+  ASSERT_EQ(nic.inject_burst(burst), 2u);
+  EXPECT_EQ(nic.room(), 1u);  // 1 mbuf, 1 slot on queue 0, 2 on queue 1
+
+  std::array<MbufPtr, 4> rx;
+  Mempool::free_bulk(std::span<MbufPtr>(rx).first(nic.rx_burst(0, rx)));
+  EXPECT_EQ(nic.room(), 2u);  // queue 1's ring is now the tightest
+  Mempool::free_bulk(std::span<MbufPtr>(rx).first(nic.rx_burst(1, rx)));
+  EXPECT_EQ(nic.room(), 4u);
+}
+
 TEST_F(SimNicTest, OneQueueBurstKeepsArrivalOrderOnAFullRing) {
   // Every frame bound for queue 2 of 4: the burst is already grouped, so
   // the run is published as it arrived and the ring refuses its tail.
@@ -477,7 +380,7 @@ TEST_F(SimNicTest, OneQueueBurstKeepsArrivalOrderOnAFullRing) {
   cfg.num_queues = 4;
   cfg.queue_depth = 8;
   SimNic nic(cfg, pool_);
-  const auto q2 = frames_for_queue(nic, 2, true, 12);
+  const auto q2 = frames_for_queue(nic, 2, 12);
   std::vector<RxFrame> burst;
   for (std::size_t i = 0; i < q2.size(); ++i) {
     burst.push_back({q2[i], Timestamp::from_us(static_cast<std::int64_t>(i))});
@@ -513,8 +416,8 @@ TEST_F(SimNicTest, RecycledMbufNeverCarriesStaleMetadata) {
   plain.num_queues = 1;
   SimNic nic_b(plain, one);
 
-  const auto big = frames_for_queue(nic_a, 2, true, 1, 1000)[0];
-  const auto other = frames_for_queue(nic_a, 1, true, 1)[0];
+  const auto big = frames_for_queue(nic_a, 2, 1, 1000)[0];
+  const auto other = frames_for_queue(nic_a, 1, 1)[0];
   const auto arp = build_non_ip_frame(42);
   ASSERT_GT(big.size(), other.size());
   ASSERT_GT(other.size(), arp.size());
@@ -522,8 +425,8 @@ TEST_F(SimNicTest, RecycledMbufNeverCarriesStaleMetadata) {
   const Mbuf* first = nullptr;
   const auto check = [&](SimNic& nic, std::uint32_t sample_n, std::uint16_t port,
                          const std::vector<std::uint8_t>& frame, Timestamp ts) {
-    ASSERT_TRUE(nic.inject(frame, ts));
-    const auto q = nic.queue_for(frame);
+    ASSERT_TRUE(inject_one(nic, frame, ts));
+    const auto q = queue_of(nic, frame);
     std::array<MbufPtr, 4> rx;
     ASSERT_EQ(nic.rx_burst(q, rx), 1u);
     const Mbuf& m = *rx[0];

@@ -15,6 +15,7 @@
 #include "capture/scenarios.hpp"
 #include "flow/ts_ring.hpp"
 #include "flow/worker.hpp"
+#include "inject_one.hpp"
 #include "msg/codec.hpp"
 #include "net/packet_builder.hpp"
 
@@ -290,7 +291,7 @@ TEST_P(InflowOracleTest, WorkerMatchesOfflinePpingOnReplayedScenario) {
 
       std::size_t pending = 0;
       for (const auto& f : frames) {
-        while (!nic.inject(f.frame, f.timestamp)) worker.poll_once();
+        while (!inject_one(nic, f.frame, f.timestamp)) worker.poll_once();
         if (++pending >= 16) {
           worker.poll_once();
           pending = 0;
@@ -338,7 +339,7 @@ TEST(InflowWorker, HandshakeSamplesBitIdenticalWithKernelOnOrOff) {
     QueueWorker worker(nic, 0, 1 << 14, [&](const LatencySample& s) { samples.push_back(s); },
                        Duration::from_sec(30.0), FlowTable::kDefaultProbeWindow, icfg);
     for (const auto& f : frames) {
-      while (!nic.inject(f.frame, f.timestamp)) worker.poll_once();
+      while (!inject_one(nic, f.frame, f.timestamp)) worker.poll_once();
     }
     while (worker.poll_once() != 0) {
     }

@@ -5,6 +5,7 @@
 #include <atomic>
 #include <thread>
 
+#include "inject_one.hpp"
 #include "net/packet_builder.hpp"
 
 namespace ruru {
@@ -27,7 +28,7 @@ class WorkerTest : public ::testing::Test {
     syn.dst_port = 443;
     syn.seq = 100;
     syn.flags = TcpFlags::kSyn;
-    nic_->inject(build_tcp_frame(syn), t0);
+    inject_one(*nic_, build_tcp_frame(syn), t0);
 
     TcpFrameSpec synack;
     synack.src_ip = server_;
@@ -37,7 +38,7 @@ class WorkerTest : public ::testing::Test {
     synack.seq = 500;
     synack.ack = 101;
     synack.flags = TcpFlags::kSyn | TcpFlags::kAck;
-    nic_->inject(build_tcp_frame(synack), t0 + external);
+    inject_one(*nic_, build_tcp_frame(synack), t0 + external);
 
     TcpFrameSpec ack;
     ack.src_ip = client;
@@ -47,7 +48,7 @@ class WorkerTest : public ::testing::Test {
     ack.seq = 101;
     ack.ack = 501;
     ack.flags = TcpFlags::kAck;
-    nic_->inject(build_tcp_frame(ack), t0 + external + internal);
+    inject_one(*nic_, build_tcp_frame(ack), t0 + external + internal);
   }
 
   /// A pure-ACK data segment (post-handshake traffic) at time `t_ms`.
@@ -62,7 +63,7 @@ class WorkerTest : public ::testing::Test {
     data.ack = 501;
     data.flags = TcpFlags::kAck;
     data.payload_length = 64;
-    nic_->inject(build_tcp_frame(data), Timestamp::from_ms(t_ms));
+    inject_one(*nic_, build_tcp_frame(data), Timestamp::from_ms(t_ms));
   }
 
   Mempool pool_;
@@ -86,9 +87,10 @@ TEST_F(WorkerTest, PollProcessesHandshake) {
 
 TEST_F(WorkerTest, CountsParseStatuses) {
   QueueWorker worker(*nic_, 0, 1024, nullptr);
-  nic_->inject(build_non_ip_frame(), Timestamp{});
-  nic_->inject(build_udp_frame(Ipv4Address(1, 1, 1, 1), Ipv4Address(2, 2, 2, 2), 1, 2, 10),
-               Timestamp{});
+  inject_one(*nic_, build_non_ip_frame(), Timestamp{});
+  inject_one(*nic_,
+             build_udp_frame(Ipv4Address(1, 1, 1, 1), Ipv4Address(2, 2, 2, 2), 1, 2, 10),
+             Timestamp{});
   while (worker.poll_once() != 0) {
   }
   EXPECT_EQ(worker.stats().parse_status[static_cast<int>(ParseStatus::kNotIp)], 1u);
@@ -284,11 +286,11 @@ TEST_F(WorkerTest, FastPathNeverSkipsSynFinRst) {
   fin.src_port = 50'000;
   fin.dst_port = 443;
   fin.flags = TcpFlags::kFin | TcpFlags::kAck;
-  nic_->inject(build_tcp_frame(fin), Timestamp{});
+  inject_one(*nic_, build_tcp_frame(fin), Timestamp{});
   TcpFrameSpec rst = fin;
   rst.src_port = 50'001;
   rst.flags = TcpFlags::kRst;
-  nic_->inject(build_tcp_frame(rst), Timestamp{});
+  inject_one(*nic_, build_tcp_frame(rst), Timestamp{});
   while (worker.poll_once() != 0) {
   }
   EXPECT_EQ(worker.stats().packets, 2u);

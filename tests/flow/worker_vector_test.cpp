@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "flow/worker.hpp"
+#include "inject_one.hpp"
 #include "net/packet_builder.hpp"
 #include "reference_worker.hpp"
 #include "util/random.hpp"
@@ -40,7 +41,7 @@ struct Harness {
   void replay(const std::vector<std::vector<std::pair<std::vector<std::uint8_t>, Timestamp>>>&
                   rounds) {
     for (const auto& round : rounds) {
-      for (const auto& [frame, t] : round) nic->inject(frame, t);
+      for (const auto& [frame, t] : round) inject_one(*nic, frame, t);
       while (worker->poll_once() != 0) {
       }
     }
@@ -301,7 +302,7 @@ TEST(WorkerVector, HandshakeCompletingMidBurstIsVisibleToNextLane) {
       s.with_timestamps = true;
       s.ts_val = tsval;
       s.ts_ecr = tsecr;
-      h.nic->inject(build_tcp_frame(s), Timestamp::from_ms(t_ms));
+      inject_one(*h.nic, build_tcp_frame(s), Timestamp::from_ms(t_ms));
     };
     tcp(true, TcpFlags::kSyn, 1000, 0, 100, 0, 0, 0);
     tcp(false, TcpFlags::kSyn | TcpFlags::kAck, 5000, 1001, 500, 100, 0, 128);
@@ -374,7 +375,7 @@ TEST(WorkerVector, ShutdownEmitsEachStagedSampleExactlyOnce) {
     syn.dst_port = 443;
     syn.seq = 100;
     syn.flags = TcpFlags::kSyn;
-    nic.inject(build_tcp_frame(syn), Timestamp::from_ms(i * 10));
+    inject_one(nic, build_tcp_frame(syn), Timestamp::from_ms(i * 10));
     TcpFrameSpec synack;
     synack.src_ip = server;
     synack.dst_ip = client;
@@ -383,7 +384,7 @@ TEST(WorkerVector, ShutdownEmitsEachStagedSampleExactlyOnce) {
     synack.seq = 500;
     synack.ack = 101;
     synack.flags = TcpFlags::kSyn | TcpFlags::kAck;
-    nic.inject(build_tcp_frame(synack), Timestamp::from_ms(i * 10 + 2));
+    inject_one(nic, build_tcp_frame(synack), Timestamp::from_ms(i * 10 + 2));
     TcpFrameSpec ack;
     ack.src_ip = client;
     ack.dst_ip = server;
@@ -392,7 +393,7 @@ TEST(WorkerVector, ShutdownEmitsEachStagedSampleExactlyOnce) {
     ack.seq = 101;
     ack.ack = 501;
     ack.flags = TcpFlags::kAck;
-    nic.inject(build_tcp_frame(ack), Timestamp::from_ms(i * 10 + 3));
+    inject_one(nic, build_tcp_frame(ack), Timestamp::from_ms(i * 10 + 3));
   }
   stop.store(true);
   t.join();

@@ -17,7 +17,8 @@
 # Environment:
 #   BENCH_TRACE    --trace per run, 0 or 1 (default 0)
 #   BENCH_AB_DIR   work directory to reuse (default: a fresh mktemp -d,
-#                  removed on exit); builds there are incremental
+#                  removed on exit); builds there are incremental, and raw
+#                  runs land in runs/<workload>-<side>-<seed>.txt
 #
 # It only builds and runs the benchmark binary; it writes nothing under
 # perfbench/ and reads BENCHMARK.json only for the run length and which
@@ -75,7 +76,9 @@ for seed in "${SEEDS[@]}"; do
   order=(base change)
   if [ $((pair++ % 2)) -eq 1 ]; then order=(change base); fi
   for side in "${order[@]}"; do
-    out="$WORK/runs/$side-$seed.txt"
+    # Named by workload too, so a reused BENCH_AB_DIR keeps every
+    # workload's runs on the same seeds.
+    out="$WORK/runs/$WORKLOAD-$side-$seed.txt"
     echo "run $side seed $seed" >&2
     "$WORK/$side-build/ruru_e2e" --workload "$WORKLOAD" --seed "$seed" \
       --seconds "$SECONDS_PER_RUN" --trace "$TRACE" --out-dir "$WORK/runs" >"$out"
@@ -94,7 +97,7 @@ better = {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]
 
 
 def parse(side, seed):
-    lines = (runs / f"{side}-{seed}.txt").read_text().splitlines()
+    lines = (runs / f"{workload}-{side}-{seed}.txt").read_text().splitlines()
     result = json.loads(lines[-1])
     prov = next(json.loads(l)["provenance"] for l in lines if l.startswith('{"provenance"'))
     digest = next(l.split()[-1] for l in lines if l.startswith("sample digest"))

@@ -32,12 +32,13 @@
 # snapshot thread.
 #
 # The `scale` mode gates the multi-core scale-out (pinned topology,
-# sharded injection, fan-in lanes): the msg + driver + core + analytics
-# suites under TSan — per-lane publish is single-producer by contract and the
-# sharded producer lanes feed per-queue SPSC rings, so any accidental
-# sharing is a data race this build must catch; the enrichment pool's
-# sharded consumers park on the bus's eventcount — then the determinism
-# invariant run un-sanitized: the sharded pipeline must emit bit-
+# fan-in lanes, the enrichment pool): the msg + driver + core +
+# analytics suites under TSan — one producer feeds the per-queue SPSC
+# rings while the workers drain them and share the mempool, per-lane
+# publish is single-producer by contract, and the enrichment pool's
+# sharded consumers park on the bus's eventcount, so any accidental
+# sharing is a data race this build must catch — then the determinism
+# invariant run un-sanitized: the one-producer replay must emit bit-
 # identical samples at 1, 2, and 4 workers.
 #
 # The `tsdb` mode gates the compressed storage engine: the whole tsdb
@@ -73,6 +74,9 @@
 # TSan pass over the multi-worker path, and a fig2 regression smoke
 # that fails if the vector loop's Transpacific throughput drops below
 # 0.95x of the value recorded in bench/BENCH_worker.json.
+#
+# Every un-sanitized step builds in build-rel/ (RelWithDebInfo), never
+# in the tier-1 build/ directory, whose build type it would change.
 #
 # Usage: tools/check.sh [thread|address|undefined|metrics|enrich|flow|scale|tsdb|trace|inflow|worker]   (default: thread)
 set -euo pipefail
@@ -149,10 +153,10 @@ fi
 
 if [ "$SAN" = "scale" ]; then
   # Scale-out gate, part 1: the concurrency surface under TSan.  Fan-in
-  # lanes (one producer per worker), sharded injection into per-queue
-  # SPSC rings, the mempool's bulk alloc/free shared by the injector and
-  # the workers, CPU pinning bookkeeping, and the full sharded pipelines
-  # the Scaling suite drives end to end.
+  # lanes (one producer per worker), the one producer's bursts into the
+  # per-queue SPSC rings, the mempool's bulk alloc/free shared by the
+  # injector and the workers, CPU pinning bookkeeping, and the full
+  # pipelines the Scaling suite drives end to end.
   BUILD="$ROOT/build-thread"
   cmake -B "$BUILD" -S "$ROOT" -DRURU_SANITIZE=thread -DCMAKE_BUILD_TYPE=RelWithDebInfo
   cmake --build "$BUILD" -j"$JOBS" --target test_msg test_driver test_core test_analytics
@@ -160,16 +164,17 @@ if [ "$SAN" = "scale" ]; then
     -R 'FanIn|PubSub|BusQueue|Pool|Nic|Mempool|LcoreLauncher|Scaling|Pipeline')
 
   # Part 2: the determinism invariant, run un-sanitized so timing is
-  # representative.  ShardedNWorkersBitIdenticalTo1Worker compares the
-  # sorted sample stream at 2 and 4 workers against 1 worker sample for
-  # sample; FanInConservesEverySample checks delivered + dropped ==
-  # published at every N.  Run them by name so the gate is explicit.
-  BUILD="$ROOT/build"
+  # representative.  ShardedNWorkersBitIdenticalTo1Worker replays one
+  # trace through replay_scenario into 1, 2 and 4 RSS-sharded workers
+  # and compares the sorted sample streams sample for sample;
+  # FanInConservesEverySample checks delivered + dropped == published
+  # at every N.  Run them by name so the gate is explicit.
+  BUILD="$ROOT/build-rel"
   cmake -B "$BUILD" -S "$ROOT" -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
   cmake --build "$BUILD" -j"$JOBS" --target test_core
   "$BUILD/tests/test_core" \
     --gtest_filter='Scaling.ShardedNWorkersBitIdenticalTo1Worker:Scaling.FanInConservesEverySample'
-  echo "scale gate OK: lanes TSan-clean, sharded output bit-identical at 1/2/4 workers"
+  echo "scale gate OK: rings and lanes TSan-clean, output bit-identical at 1/2/4 workers"
   exit 0
 fi
 
@@ -255,7 +260,7 @@ if [ "$SAN" = "worker" ]; then
   # Part 3: the fig2 regression smoke, un-sanitized so timing is
   # representative.  The vector loop's Transpacific throughput must hold
   # >= 0.95x the pps recorded in bench/BENCH_worker.json (gate_pps).
-  BUILD="$ROOT/build"
+  BUILD="$ROOT/build-rel"
   cmake -B "$BUILD" -S "$ROOT" -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
   cmake --build "$BUILD" -j"$JOBS" --target bench_worker_pipeline
   GATE_PPS="$(grep -o '"gate_pps"[^,}]*' "$ROOT/bench/BENCH_worker.json" | head -1 | awk -F: '{gsub(/[^0-9.eE+]/,"",$2); print $2}')"
@@ -289,7 +294,7 @@ if [ "$SAN" = "trace" ]; then
   # representative.  TracingDoesNotChangeMeasurements replays the same
   # scenario untraced and at 1-in-64 and compares the sorted sample
   # stream fact for fact — run it by name so the gate is explicit.
-  BUILD="$ROOT/build"
+  BUILD="$ROOT/build-rel"
   cmake -B "$BUILD" -S "$ROOT" -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
   cmake --build "$BUILD" -j"$JOBS" --target test_core
   "$BUILD/tests/test_core" \
